@@ -3,10 +3,12 @@
 Entropy of ENT bits (128/160/192/224/256) gets CS = ENT/32 checksum bits
 (the top bits of its SHA-256) appended; the ENT+CS bit string splits into
 11-bit indices into the 2048-word English list. The seed is
-PBKDF2-HMAC-SHA512(sentence, "mnemonic" || passphrase, 2048, 64).
+PBKDF2-HMAC-SHA512(sentence, "mnemonic" || passphrase, 2048, 64), over the
+UTF-8 bytes of the NFKD-normalized sentence and passphrase.
 """
 
 import importlib.resources
+import unicodedata
 
 from .errors import MnemonicError, ValidationError
 from .kdf import pbkdf2_hmac_sha512
@@ -84,11 +86,22 @@ def mnemonic_to_entropy(mnemonic) -> bytes:
 
 
 def mnemonic_to_seed(mnemonic, passphrase: str = "") -> bytes:
-    """Stretch a mnemonic sentence into the 64-byte wallet seed."""
+    """Stretch a mnemonic sentence into the 64-byte wallet seed.
+
+    Raises ValidationError for text with no UTF-8 encoding (lone surrogates,
+    as undecodable command-line bytes arrive in Python).
+    """
     sentence = " ".join(_as_words(mnemonic))
-    return pbkdf2_hmac_sha512(sentence.encode("utf-8"),
-                              b"mnemonic" + passphrase.encode("utf-8"),
+    return pbkdf2_hmac_sha512(_nfkd_utf8(sentence, "mnemonic"),
+                              b"mnemonic" + _nfkd_utf8(passphrase, "passphrase"),
                               2048, 64)
+
+
+def _nfkd_utf8(text: str, what: str) -> bytes:
+    try:
+        return unicodedata.normalize("NFKD", text).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError("%s is not valid UTF-8 text" % what) from None
 
 
 def _as_words(mnemonic) -> list:

@@ -233,6 +233,10 @@ def main(argv=None, session=None) -> int:
     except LookupError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
+    except ValueError as exc:
+        # backstop: a stray ValueError is still bad input, not a traceback
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_VALIDATION
     except CryptoError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CRYPTO

@@ -6,11 +6,18 @@ HMAC with the parent chain code over either 0x00 || parent key (hardened,
 index >= 2^31) or the compressed parent public key (normal), concatenated
 with the 4-byte index; the child key is (left_half + parent_key) mod n.
 
+Each ExtendedKey computes its public point (key*G) lazily, at most once,
+and keeps it on the key: a normal child reuses its parent's point instead
+of running the comb again. The point lives and dies with its node, so no
+process-wide cache holds keys.
+
 Paths print as m/44'/60'/0'/0/i with an apostrophe marking hardened
 indices. A PathCache stores derived prefix nodes so sibling address
-indices cost exactly one derivation after the first.
+indices cost exactly one derivation, and one comb, after the first.
 """
 
+import functools
+import re
 from dataclasses import dataclass
 
 # scalar_mul_ladder is not called here; it stays importable under this
@@ -29,6 +36,8 @@ MASTER_HMAC_KEY = b"Bitcoin seed"
 
 @dataclass(frozen=True)
 class ExtendedKey:
+    """A private key and chain code; ``point`` is key*G, computed once."""
+
     key: int
     chain_code: bytes
     depth: int = 0
@@ -39,6 +48,12 @@ class ExtendedKey:
             raise InvalidKeyError("private key outside [1, n-1]")
         if len(self.chain_code) != 32:
             raise ValueError("chain code must be 32 bytes")
+
+    @functools.cached_property
+    def point(self) -> AffinePoint:
+        # cached_property writes the instance __dict__, which a frozen
+        # dataclass allows; field-based __eq__/__hash__ ignore it.
+        return public_point(self.key)
 
 
 def master_from_seed(seed: bytes) -> ExtendedKey:
@@ -69,7 +84,7 @@ def ckd_priv(parent: ExtendedKey, index: int) -> ExtendedKey:
     if index >= HARDENED:
         data = b"\x00" + to_bytes32(parent.key)
     else:
-        data = serialize_pubkey(public_point(parent.key))
+        data = serialize_pubkey(parent.point)
     digest = hmac_sha512(parent.chain_code, data + index.to_bytes(4, "big"))
     left = int.from_bytes(digest[:32], "big")
     if left >= SECP256K1_N:
@@ -90,7 +105,8 @@ def parse_path(path: str) -> tuple:
     for part in parts[1:]:
         hardened = part.endswith("'") or part.endswith("h")
         digits = part[:-1] if hardened else part
-        if not digits.isdigit():
+        # ASCII digits only; an index below 2^31 has at most 10 of them
+        if not re.fullmatch(r"[0-9]{1,10}", digits):
             raise ValidationError("bad path element %r" % part)
         value = int(digits)
         if value >= HARDENED:

@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 
 from .address import pubkey_to_address, to_checksum_address
 from .errors import DerivationError
-from .hd import (derive_path, ETH_BASE_PATH, ExtendedKey, PathCache,
+# public_point is not called here; it stays importable under this module
+# because the benchmark's layer probe (bench/layers.py) wraps it here.
+from .hd import (derive_path, ETH_BASE_PATH, ExtendedKey, PathCache,  # noqa: F401
                  public_point, serialize_pubkey)
 from .u256 import to_bytes32
 
@@ -58,7 +60,7 @@ class Keystore:
                 self.skipped.append(index)
                 index += 1
                 continue
-            point = public_point(node.key)
+            point = node.point
             account = Account(
                 index=index,
                 private_key=bytearray(to_bytes32(node.key)),

@@ -4,6 +4,8 @@ Every 256-bit value in the wallet round-trips through 32-byte big-endian
 bytes and 64-character lowercase hex (optional 0x prefix on input).
 """
 
+import re
+
 from .errors import ValidationError
 
 U256_MAX = (1 << 256) - 1
@@ -31,16 +33,15 @@ def to_hex(value: int, prefix: bool = False) -> str:
 
 
 def from_hex(text: str) -> int:
-    """Parse a 256-bit value from 64 hex characters (0x prefix allowed)."""
+    """Parse a 256-bit value from exactly 64 ASCII hex digits (0x allowed)."""
     s = text.strip()
     if s[:2] in ("0x", "0X"):
         s = s[2:]
     if len(s) != 64:
         raise ValidationError("expected 64 hex characters, got %d" % len(s))
-    try:
-        return int(s, 16)
-    except ValueError:
-        raise ValidationError("invalid hex string: %r" % text) from None
+    if not re.fullmatch(r"[0-9a-fA-F]{64}", s):
+        raise ValidationError("invalid hex string: %r" % text)
+    return int(s, 16)
 
 
 def parse_hex_bytes(text: str, expect_len: int | None = None) -> bytes:

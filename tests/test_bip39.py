@@ -1,6 +1,7 @@
 """Mnemonic encoding/decoding and seed derivation tests."""
 
 import random
+import unicodedata
 
 import pytest
 
@@ -9,6 +10,7 @@ from ethcold.bip39 import (entropy_to_mnemonic, load_wordlist,
                            VALID_ENTROPY_BYTES)
 from ethcold.errors import MnemonicError, ValidationError
 
+import oracle
 import vectors
 
 ZERO12 = ("abandon abandon abandon abandon abandon abandon abandon abandon "
@@ -124,3 +126,24 @@ def test_bad_word_count():
 def test_mnemonic_accepts_sentence_or_list():
     assert mnemonic_to_entropy(ZERO12) == mnemonic_to_entropy(ZERO12.split())
     assert mnemonic_to_seed(ZERO12) == mnemonic_to_seed(ZERO12.split())
+
+
+def test_nfkd_composed_and_decomposed_passphrase_agree():
+    composed, decomposed = "caf\u00e9", "cafe\u0301"
+    seed = mnemonic_to_seed(ZERO12, composed)
+    assert seed == mnemonic_to_seed(ZERO12, decomposed)
+    salt = b"mnemonic" + unicodedata.normalize("NFKD", composed).encode()
+    assert salt == b"mnemonic" + decomposed.encode()
+    assert seed == oracle.pbkdf2_sha512(ZERO12.encode(), salt, 2048, 64)
+
+
+def test_nfkd_applies_to_the_sentence():
+    # NFKD folds the compatibility character U+FB01 into "fi"
+    assert mnemonic_to_seed(["\ufb01x"]) == mnemonic_to_seed(["fix"])
+
+
+def test_non_utf8_text_rejected():
+    with pytest.raises(ValidationError):
+        mnemonic_to_seed(ZERO12, "\udcff")
+    with pytest.raises(ValidationError):
+        mnemonic_to_seed(["abandon", "\udcff"])

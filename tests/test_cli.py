@@ -192,3 +192,13 @@ def test_json_init(capsys):
                                 ZERO_ENT_HEX])
     assert code == 0
     assert json.loads(out)["mnemonic"] == V24["mnemonic"]
+
+
+def test_non_utf8_passphrase_exits_3(capsys):
+    # an undecodable argv byte such as 0xff reaches Python as U+DCFF
+    code, out, err = run(capsys, ["--json", "list", "--mnemonic",
+                                  V12["mnemonic"], "--passphrase", "\udcff",
+                                  "--count", "1"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")

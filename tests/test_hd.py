@@ -150,7 +150,8 @@ def test_path_parsing_and_formatting():
 
 
 def test_path_parse_errors():
-    for bad in ("44'/60'", "m/abc", "m/-1", "m/2147483648"):
+    for bad in ("44'/60'", "m/abc", "m/-1", "m/2147483648", "m/44'/\u0663",
+                "m/\u00b2", "m/+1", "m/1_0", "m/ 1", "m/", "m/" + "9" * 5000):
         with pytest.raises(ValidationError):
             parse_path(bad)
 
@@ -200,3 +201,22 @@ def test_derivation_against_oracle():
         k, c = oracle.bip32_ckd(k, c, i)
     assert node.key == k
     assert node.chain_code == c
+
+
+def test_point_is_public_point_of_key():
+    node = master_from_seed(b"\x42" * 64)
+    assert node.point == public_point(node.key)
+    assert node.point is node.point
+    child = ckd_priv(node, HARDENED + 1)
+    assert child.point == public_point(child.key)
+
+
+def test_cached_parent_point_gives_same_child():
+    parent = master_from_seed(b"\x07" * 64)
+    parent.point  # computed here, then kept on parent
+    fresh = ExtendedKey(key=parent.key, chain_code=parent.chain_code,
+                        depth=parent.depth, child_index=parent.child_index)
+    assert "point" not in vars(fresh)
+    assert parent == fresh and hash(parent) == hash(fresh)
+    for index in (0, 3, HARDENED + 2):
+        assert ckd_priv(parent, index) == ckd_priv(fresh, index)

@@ -3,6 +3,7 @@
 import pytest
 
 from ethcold.bip39 import mnemonic_to_seed
+from ethcold.field import count_mul_iterations
 from ethcold.hd import master_from_seed
 from ethcold.keystore import Keystore
 
@@ -116,3 +117,29 @@ def test_address_consistency_invariant():
     for account in store.accounts:
         pt = public_point(account.key_int)
         assert account.address == to_checksum_address(pubkey_to_address(pt))
+
+
+# One fixed-base comb runs 898 multiplies (64 additions and one to_affine).
+COMB_MULS = 898
+
+
+def test_sibling_account_costs_one_comb():
+    """The parent m/44'/60'/0'/0 keeps its point; a sibling pays only its own."""
+    store = _store()
+    store.generate(1)
+    with count_mul_iterations() as counts:
+        store.generate(1)
+    assert len(counts) == COMB_MULS
+
+
+def test_wipe_drops_cached_points():
+    """After wipe the first account again pays for m/44'/60'/0', /0 and itself."""
+    store = _store()
+    with count_mul_iterations() as counts:
+        store.generate(1)
+    assert len(counts) == 3 * COMB_MULS
+    store.wipe()
+    with count_mul_iterations() as counts:
+        store.generate(1)
+    assert len(counts) == 3 * COMB_MULS
+    assert store.accounts[0].address == V24["accounts"][0]["address"]

@@ -56,6 +56,10 @@ def test_wrong_lengths_rejected():
         from_hex("ab" * 31)
     with pytest.raises(ValidationError):
         from_hex("zz" * 32)
+    for bad in ("-" + "f" * 63, "+" + "f" * 63, "f" * 31 + "_" + "f" * 32,
+                "0x-" + "f" * 63, "\u0663" * 64, " " + "f" * 63):
+        with pytest.raises(ValidationError):
+            from_hex(bad)
 
 
 def test_parse_hex_bytes():
