@@ -11,22 +11,21 @@ the key.
 from .address import pubkey_to_address, to_checksum_address
 from .bip39 import entropy_to_mnemonic, mnemonic_to_entropy, mnemonic_to_seed
 from .curve import (AffinePoint, CurveParams, point_add_complete,
-                    point_double, ProjectivePoint, scalar_mul_classic,
-                    scalar_mul_comb, scalar_mul_ladder, SECP256K1, to_affine)
+                    ProjectivePoint, scalar_mul_classic, scalar_mul_comb,
+                    scalar_mul_ladder, SECP256K1, to_affine)
 from .ecdsa import (FixedNonce, RandomNonce, Rfc6979Nonce, rfc6979_nonce,
                     Signature, sign, verify)
 from .errors import (CryptoError, DerivationError, InvalidKeyError,
                      InvalidScalarError, MnemonicError, ValidationError,
                      WalletError)
-from .field import (add_mod, FIELD_P, inv_mod, Modulus, mul_mod, ORDER_N,
-                    Residue, SECP256K1_N, SECP256K1_P, sub_mod)
+from .field import FIELD_P, Modulus, ORDER_N, SECP256K1_N, SECP256K1_P
 from .hd import (ckd_priv, derive_path, ETH_BASE_PATH, ExtendedKey,
                  format_path, HARDENED, master_from_seed, parse_path,
                  PathCache, public_point, serialize_pubkey)
 from .kdf import hmac_sha256, hmac_sha512, pbkdf2_hmac_sha512
 from .keccak import Keccak256, keccak256
 from .keystore import Account, Keystore
-from .sha2 import Sha256, sha256, Sha512, sha512
+from .sha2 import sha256, sha512
 from .trace import (OperationTrace, record_ladder_trace, trace_mse,
                     TraceEvent, TraceRecorder, uniformity_report)
 

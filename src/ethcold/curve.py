@@ -17,13 +17,19 @@ Two scalar multiplications run on that schedule:
   same operation set. The classic two-operation ladder is kept as a
   side-channel baseline.
 
+Both ladders are data: HARDENED_SCHEDULE and CLASSIC_SCHEDULE hold, for
+each key bit, the row of register operations and trace ports of one
+iteration, and one driver runs either table. Key independence of the
+balanced ladder is then a static fact: its two rows differ only in
+register indices, never in slot, operation or port.
+
 The identity is (0 : 1 : 0). One binary inversion at the very end maps
 (X : Y : Z) to affine (X/Z, Y/Z).
 """
 
 import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import InvalidScalarError
 from .field import FIELD_P, Modulus, ORDER_N
@@ -80,29 +86,14 @@ SECP256K1 = CurveParams(
 
 
 def point_add_complete(P: ProjectivePoint, Q: ProjectivePoint,
-                       curve: CurveParams = SECP256K1,
-                       field_ops: Optional[list] = None) -> ProjectivePoint:
+                       curve: CurveParams = SECP256K1) -> ProjectivePoint:
     """Complete projective addition for y^2 = x^3 + b curves.
 
-    The schedule below is executed verbatim for every input pair; there is
-    no branching on operand values. When ``field_ops`` is a list, the kind
-    of each field operation is appended in execution order.
+    The schedule below is executed verbatim for every input pair, P == Q
+    included; there is no branching on operand values.
     """
     mod = curve.p
-    if field_ops is None:
-        madd, msub, mmul = mod.add, mod.sub, mod.mul
-    else:
-        def madd(a, b):
-            field_ops.append("field-add")
-            return mod.add(a, b)
-
-        def msub(a, b):
-            field_ops.append("field-sub")
-            return mod.sub(a, b)
-
-        def mmul(a, b):
-            field_ops.append("field-mul")
-            return mod.mul(a, b)
+    madd, msub, mmul = mod.add, mod.sub, mod.mul
 
     x1, y1, z1 = P
     x2, y2, z2 = Q
@@ -143,12 +134,6 @@ def point_add_complete(P: ProjectivePoint, Q: ProjectivePoint,
     z3 = madd(z3, t0)
 
     return ProjectivePoint(x3, y3, z3)
-
-
-def point_double(P: ProjectivePoint, curve: CurveParams = SECP256K1,
-                 field_ops: Optional[list] = None) -> ProjectivePoint:
-    """Doubling via self-addition through the same complete schedule."""
-    return point_add_complete(P, P, curve, field_ops)
 
 
 def to_affine(P: ProjectivePoint,
@@ -193,6 +178,64 @@ def _normalize_scalar(k: int, curve: CurveParams) -> str:
     return format(_reduce_scalar(k, curve), "0%db" % curve.scalar_bits)
 
 
+def _finish(r0: ProjectivePoint, curve: CurveParams, recorder,
+            iteration: int) -> AffinePoint:
+    """The BIA tail of every scalar multiply: R0 to affine, two events."""
+    result = to_affine(r0, curve)
+    if recorder is not None:
+        recorder.record(iteration, "BIA", "field-mul", "R0", result.x.bit_count())
+        recorder.record(iteration, "BIA", "field-mul", "R0", result.y.bit_count())
+    return result
+
+
+# Ladder schedules. rows[bit] lists, in program order, the point operations
+# of one iteration for that key bit as (slot, op_kind, a, b, dst, port):
+# regs[dst] = regs[a] + regs[b] over the registers [R0, R1, Rt], and the
+# trace event names the write port `port`.
+R0, R1, RT = 0, 1, 2
+
+# Balanced ladder: the key bit only steers which registers feed and take
+# each operation. The ports are the architectural ones (PA0 -> R0,
+# PA1 -> R1, the dummy second doubling -> Rt), the same for both bits.
+HARDENED_SCHEDULE = (
+    (("PA0", "point-add", R0, R1, R1, "R0"),
+     ("PA1", "point-double", R0, R0, R0, "R1"),
+     ("PA0", "point-double", R1, R1, RT, "Rt")),
+    (("PA0", "point-add", R0, R1, R0, "R0"),
+     ("PA1", "point-double", R1, R1, R1, "R1"),
+     ("PA0", "point-double", R0, R0, RT, "Rt")),
+)
+
+# Classic ladder: each event names the register it writes, so the port
+# sequence follows the key bits.
+CLASSIC_SCHEDULE = (
+    (("PA0", "point-add", R0, R1, R1, "R1"),
+     ("PA0", "point-double", R0, R0, R0, "R0")),
+    (("PA0", "point-add", R0, R1, R0, "R0"),
+     ("PA0", "point-double", R1, R1, R1, "R1")),
+)
+
+
+def _ladder(k: int, curve: CurveParams, recorder,
+            schedule: tuple) -> AffinePoint:
+    """k*G by running one schedule row per key bit below the top one.
+
+    The top bit is absorbed by the initialisation, which always computes
+    2G (complete formulas make the identity a safe ladder operand when
+    the bit is 0), so every accepted scalar runs scalar_bits-1 rows.
+    """
+    bits = _normalize_scalar(k, curve)
+    g = curve.generator
+    g2 = point_add_complete(g, g, curve)
+    regs = [g, g2, IDENTITY] if bits[0] == "1" else [IDENTITY, g, IDENTITY]
+    for i, bit in enumerate(bits[1:]):
+        for slot, op_kind, a, b, dst, port in schedule[int(bit)]:
+            regs[dst] = point_add_complete(regs[a], regs[b], curve)
+            if recorder is not None:
+                recorder.record(i, slot, op_kind, port, _point_weight(regs[dst]))
+    return _finish(regs[R0], curve, recorder, curve.scalar_bits - 1)
+
+
 def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
                       recorder=None) -> AffinePoint:
     """k*G by the balanced Montgomery ladder with a temporary register.
@@ -206,37 +249,7 @@ def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
     architectural write ports (PA0 -> R0, PA1 -> R1, second pass -> Rt);
     the key bit only steers internal multiplexers.
     """
-    bits = _normalize_scalar(k, curve)
-    g = curve.generator
-    g2 = point_add_complete(g, g, curve)
-    if bits[0] == "1":
-        r0, r1 = g, g2
-    else:
-        r0, r1 = IDENTITY, g
-    rt = IDENTITY
-    for i, bit in enumerate(bits[1:]):
-        if bit == "1":
-            r0 = point_add_complete(r0, r1, curve)
-            r1 = point_add_complete(r1, r1, curve)
-            rt = point_add_complete(r0, r0, curve)
-            added, doubled = r0, r1
-        else:
-            r1 = point_add_complete(r0, r1, curve)
-            r0 = point_add_complete(r0, r0, curve)
-            rt = point_add_complete(r1, r1, curve)
-            added, doubled = r1, r0
-        if recorder is not None:
-            recorder.record(i, "PA0", "point-add", "R0", _point_weight(added))
-            recorder.record(i, "PA1", "point-double", "R1", _point_weight(doubled))
-            recorder.record(i, "PA0", "point-double", "Rt", _point_weight(rt))
-            if getattr(recorder, "keep_states", False):
-                recorder.capture_state(i, r0, r1, rt)
-    result = to_affine(r0, curve)
-    if recorder is not None:
-        last = curve.scalar_bits - 1
-        recorder.record(last, "BIA", "field-mul", "R0", result.x.bit_count())
-        recorder.record(last, "BIA", "field-mul", "R0", result.y.bit_count())
-    return result
+    return _ladder(k, curve, recorder, HARDENED_SCHEDULE)
 
 
 def scalar_mul_classic(k: int, curve: CurveParams = SECP256K1,
@@ -247,32 +260,7 @@ def scalar_mul_classic(k: int, curve: CurveParams = SECP256K1,
     written-register sequence follows the key bits; the recorder logs the
     writes in program order, which is exactly the leak.
     """
-    bits = _normalize_scalar(k, curve)
-    g = curve.generator
-    g2 = point_add_complete(g, g, curve)
-    if bits[0] == "1":
-        r0, r1 = g, g2
-    else:
-        r0, r1 = IDENTITY, g
-    for i, bit in enumerate(bits[1:]):
-        if bit == "1":
-            r0 = point_add_complete(r0, r1, curve)
-            r1 = point_add_complete(r1, r1, curve)
-            if recorder is not None:
-                recorder.record(i, "PA0", "point-add", "R0", _point_weight(r0))
-                recorder.record(i, "PA0", "point-double", "R1", _point_weight(r1))
-        else:
-            r1 = point_add_complete(r0, r1, curve)
-            r0 = point_add_complete(r0, r0, curve)
-            if recorder is not None:
-                recorder.record(i, "PA0", "point-add", "R1", _point_weight(r1))
-                recorder.record(i, "PA0", "point-double", "R0", _point_weight(r0))
-    result = to_affine(r0, curve)
-    if recorder is not None:
-        last = curve.scalar_bits - 1
-        recorder.record(last, "BIA", "field-mul", "R0", result.x.bit_count())
-        recorder.record(last, "BIA", "field-mul", "R0", result.y.bit_count())
-    return result
+    return _ladder(k, curve, recorder, CLASSIC_SCHEDULE)
 
 
 COMB_WIDTH = 4  # bits per comb window
@@ -351,9 +339,4 @@ def scalar_mul_comb(k: int, curve: CurveParams = SECP256K1,
         r0 = point_add_complete(r0, _select(row, digit), curve)
         if recorder is not None:
             recorder.record(j, "PA0", "point-add", "R0", _point_weight(r0))
-    result = to_affine(r0, curve)
-    if recorder is not None:
-        last = len(table)
-        recorder.record(last, "BIA", "field-mul", "R0", result.x.bit_count())
-        recorder.record(last, "BIA", "field-mul", "R0", result.y.bit_count())
-    return result
+    return _finish(r0, curve, recorder, len(table))

@@ -12,8 +12,6 @@ subtractions. Its trip count IS data-dependent; the wallet runs it once per
 scalar multiplication, after the comb or the ladder, never per key bit.
 """
 
-from dataclasses import dataclass
-
 # SEC2 secp256k1 parameters: field prime and group order.
 SECP256K1_P = 0xfffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f
 SECP256K1_N = 0xfffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141
@@ -74,9 +72,6 @@ class Modulus:
     def __hash__(self):
         return hash((self.value, self.width))
 
-    def reduce(self, x: int) -> int:
-        return x % self.value
-
     def add(self, a: int, b: int) -> int:
         s = a + b
         return s - self.value if s >= self.value else s
@@ -136,40 +131,3 @@ class Modulus:
 # Shared modulus instances for the whole wallet.
 FIELD_P = Modulus(SECP256K1_P)
 ORDER_N = Modulus(SECP256K1_N)
-
-
-@dataclass(frozen=True)
-class Residue:
-    """A canonical residue: 0 <= value < modulus."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.modulus.value:
-            raise ValueError("residue out of range: %r" % self.value)
-
-
-def _require_same_modulus(a: Residue, b: Residue) -> Modulus:
-    if a.modulus != b.modulus:
-        raise ValueError("mixed moduli: %r vs %r" % (a.modulus, b.modulus))
-    return a.modulus
-
-
-def add_mod(a: Residue, b: Residue) -> Residue:
-    m = _require_same_modulus(a, b)
-    return Residue(m.add(a.value, b.value), m)
-
-
-def sub_mod(a: Residue, b: Residue) -> Residue:
-    m = _require_same_modulus(a, b)
-    return Residue(m.sub(a.value, b.value), m)
-
-
-def mul_mod(a: Residue, b: Residue) -> Residue:
-    m = _require_same_modulus(a, b)
-    return Residue(m.mul(a.value, b.value), m)
-
-
-def inv_mod(z: Residue) -> Residue:
-    return Residue(z.modulus.inv(z.value), z.modulus)

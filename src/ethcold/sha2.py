@@ -1,46 +1,10 @@
-"""SHA-256 and SHA-512 (FIPS 180-4) with incremental hashing.
+"""SHA-256 and SHA-512 (FIPS 180-4), one-shot.
 
 Thin wrappers over the standard library's ``hashlib``. The hashes sit
 outside the modeled datapath, so they take the simplest correct route.
-update() returns the context, so calls chain. digest() leaves the
-context reusable, and copy() snapshots it.
 """
 
 import hashlib
-
-
-class _Sha2:
-    __slots__ = ("_h",)
-
-    _new = None
-
-    def __init__(self, data: bytes = b""):
-        self._h = type(self)._new(data)
-
-    def update(self, data: bytes):
-        self._h.update(data)
-        return self
-
-    def copy(self):
-        c = type(self).__new__(type(self))
-        c._h = self._h.copy()
-        return c
-
-    def digest(self) -> bytes:
-        return self._h.digest()
-
-    def hexdigest(self) -> str:
-        return self._h.hexdigest()
-
-
-class Sha256(_Sha2):
-    __slots__ = ()
-    _new = staticmethod(hashlib.sha256)
-
-
-class Sha512(_Sha2):
-    __slots__ = ()
-    _new = staticmethod(hashlib.sha512)
 
 
 def sha256(msg: bytes) -> bytes:

@@ -2,11 +2,13 @@
 
 A recorder attached to a ladder or to the fixed-base comb collects one
 event per point operation: (iteration, slot, op kind, destination
-register, Hamming weight of the written value). The shape of a trace is
-the event sequence with weights erased; for the balanced ladder and the
-comb it depends only on the fixed scalar width, never on key bits, which
-is the testable core of the design's leakage claim. The classic ladder's
-shape follows the key and serves as the baseline.
+register, Hamming weight of the written value). For the ladders the slot,
+op kind and register come from the row of the curve module's schedule
+table that the key bit selects. The shape of a trace is the event
+sequence with weights erased; for the balanced ladder and the comb it
+depends only on the fixed scalar width, never on key bits, which is the
+testable core of the design's leakage claim. The classic ladder's shape
+follows the key and serves as the baseline.
 
 Traces can be compared with a synthetic-power MSE under three sample
 models: op-count (1.0 per event), hamming-weight (weight/256), and
@@ -37,23 +39,14 @@ class TraceEvent(NamedTuple):
 
 
 class TraceRecorder:
-    """Collects events from one scalar multiplication. Single-owner.
+    """Collects events from one scalar multiplication. Single-owner."""
 
-    With keep_states=True the ladder also hands over its register contents
-    after every iteration (verification hook; heavy on the real curve).
-    """
-
-    def __init__(self, keep_states: bool = False):
+    def __init__(self):
         self.events = []
-        self.keep_states = keep_states
-        self.states = []
 
     def record(self, iteration, slot, op_kind, dest_register, weight):
         self.events.append(
             TraceEvent(iteration, slot, op_kind, dest_register, weight))
-
-    def capture_state(self, iteration, r0, r1, rt):
-        self.states.append((iteration, r0, r1, rt))
 
     def trace(self) -> "OperationTrace":
         return OperationTrace(tuple(self.events))
@@ -84,7 +77,11 @@ class OperationTrace:
 
 def record_ladder_trace(k: int, variant: str = "hardened",
                         curve=None) -> OperationTrace:
-    """Run a scalar multiplication with a recorder attached."""
+    """Run a scalar multiplication with a recorder attached.
+
+    Each variant's function is looked up on the curve module at call time,
+    so a wrapper installed there sees every traced multiply.
+    """
     curve = curve if curve is not None else _curve.SECP256K1
     rec = TraceRecorder()
     if variant == "hardened":

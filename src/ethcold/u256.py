@@ -45,14 +45,16 @@ def from_hex(text: str) -> int:
 
 
 def parse_hex_bytes(text: str, expect_len: int | None = None) -> bytes:
-    """Parse hex (0x prefix allowed) into bytes, optionally checking length."""
+    """Parse an even count of ASCII hex digits (0x allowed) into bytes.
+
+    Only the ends are stripped: whitespace between digits is rejected.
+    """
     s = text.strip()
     if s[:2] in ("0x", "0X"):
         s = s[2:]
-    try:
-        data = bytes.fromhex(s)
-    except ValueError:
-        raise ValidationError("invalid hex string: %r" % text) from None
+    if not re.fullmatch(r"(?:[0-9a-fA-F]{2})*", s):
+        raise ValidationError("invalid hex string: %r" % text)
+    data = bytes.fromhex(s)
     if expect_len is not None and len(data) != expect_len:
         raise ValidationError(
             "expected %d bytes of hex, got %d" % (expect_len, len(data)))

@@ -118,9 +118,11 @@ def test_recover_bad_checksum(capsys):
 
 
 def test_init_bad_hex(capsys):
-    code, _, err = run(capsys, ["init", "--entropy-hex", "zz" * 16])
-    assert code == 3
-    assert "hex" in err
+    for entropy in ("zz" * 16, "00 " * 16, "00" * 8 + "\n" + "00" * 8):
+        code, out, err = run(capsys, ["init", "--entropy-hex", entropy])
+        assert code == 3
+        assert "hex" in err
+        assert out == ""
 
 
 def test_init_bad_entropy_length(capsys):
@@ -133,6 +135,15 @@ def test_sign_bad_digest_length(capsys):
                                 "--index", "0", "--digest", "ab" * 31])
     assert code == 3
     assert "32" in err
+
+
+def test_sign_digest_with_inner_whitespace_exits_3(capsys):
+    for digest in ("ab " * 32, " 0x" + "11 " * 32, "ab" * 16 + "\n" + "ab" * 16):
+        code, out, err = run(capsys, ["sign", "--mnemonic", V12["mnemonic"],
+                                      "--index", "0", "--digest", digest])
+        assert code == 3
+        assert "hex" in err
+        assert out == ""
 
 
 def test_sign_negative_index(capsys):

@@ -10,9 +10,9 @@ import random
 
 import pytest
 
-from ethcold.curve import (CurveParams, IDENTITY, point_add_complete,
-                           ProjectivePoint, scalar_mul_classic,
-                           scalar_mul_ladder, to_affine)
+from ethcold.curve import (CurveParams, HARDENED_SCHEDULE, IDENTITY,
+                           point_add_complete, ProjectivePoint, R0, R1,
+                           scalar_mul_classic, scalar_mul_ladder, to_affine)
 from ethcold.errors import InvalidScalarError
 from ethcold.field import Modulus
 from ethcold.trace import TraceRecorder
@@ -106,17 +106,24 @@ def test_scalar_addition_homomorphism_exhaustive():
 
 
 def test_ladder_state_invariant_r1_minus_r0_is_base_point():
-    """After every iteration R1 - R0 equals the ladder input point."""
+    """After every iteration R1 - R0 equals the ladder input point.
+
+    The hardened schedule's rows run over the affine oracle's addition,
+    so every intermediate register value is visible.
+    """
     g = (SC["gx"], SC["gy"])
     neg_g = (SC["gx"], (-SC["gy"]) % P)
     rng = random.Random(9)
     for k in list(range(1, 8)) + [rng.randrange(1, ORDER) for _ in range(20)]:
-        rec = TraceRecorder(keep_states=True)
-        scalar_mul_ladder(k, SMALL, recorder=rec)
-        assert len(rec.states) == SMALL.scalar_bits - 1
-        for _, r0, r1, _rt in rec.states:
-            diff = oracle.ec_add(unproj(r1), neg_g, P)
-            assert diff == unproj(r0)
+        bits = format(k, "0%db" % SMALL.scalar_bits)
+        regs = ([g, oracle.ec_add(g, g, P), None] if bits[0] == "1"
+                else [None, g, None])
+        for bit in bits[1:]:
+            for _slot, _op, a, b, dst, _port in HARDENED_SCHEDULE[int(bit)]:
+                regs[dst] = oracle.ec_add(regs[a], regs[b], P)
+            assert oracle.ec_add(regs[R1], neg_g, P) == regs[R0]
+        got = scalar_mul_ladder(k, SMALL)
+        assert regs[R0] == (None if got.infinity else (got.x, got.y))
 
 
 def test_small_ladder_iteration_count():

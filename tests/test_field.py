@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from ethcold.field import (add_mod, count_mul_iterations, FIELD_P, inv_mod,
-                           Modulus, mul_mod, ORDER_N, Residue, SECP256K1_N,
-                           SECP256K1_P, sub_mod)
+from ethcold.field import (count_mul_iterations, FIELD_P, Modulus, ORDER_N,
+                           SECP256K1_N, SECP256K1_P)
 
 # SEC2-published secp256k1 parameters, pinned as 32-byte hex.
 P_HEX = "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
@@ -21,31 +20,25 @@ def test_published_constants():
     assert FIELD_P.width == ORDER_N.width == 256
 
 
-def res(v, m=FIELD_P):
-    return Residue(v % m.value, m)
-
-
 def test_add_wraparound_to_zero():
     p = FIELD_P.value
-    assert add_mod(res(p - 1), res(1)).value == 0
+    assert FIELD_P.add(p - 1, 1) == 0
 
 
 def test_add_small():
-    assert add_mod(res(2), res(3)).value == 5
+    assert FIELD_P.add(2, 3) == 5
 
 
 def test_sub_self_and_wrap():
     p = FIELD_P.value
-    assert sub_mod(res(5), res(5)).value == 0
-    assert sub_mod(res(0), res(1)).value == p - 1
+    assert FIELD_P.sub(5, 5) == 0
+    assert FIELD_P.sub(0, 1) == p - 1
 
 
 def test_mul_identity_and_zero():
-    a = res(0xdeadbeef12345678)
-    one = res(1)
-    zero = res(0)
-    assert mul_mod(a, one).value == a.value
-    assert mul_mod(a, zero).value == 0
+    a = 0xdeadbeef12345678
+    assert FIELD_P.mul(a, 1) == a
+    assert FIELD_P.mul(a, 0) == 0
 
 
 def test_random_ops_against_arbitrary_precision_oracle():
@@ -54,24 +47,9 @@ def test_random_ops_against_arbitrary_precision_oracle():
         m = mod.value
         for _ in range(300):
             a, b = rng.randrange(m), rng.randrange(m)
-            assert add_mod(res(a, mod), res(b, mod)).value == (a + b) % m
-            assert sub_mod(res(a, mod), res(b, mod)).value == (a - b) % m
-            assert mul_mod(res(a, mod), res(b, mod)).value == a * b % m
-
-
-def test_modulus_mismatch_is_usage_error():
-    a = Residue(1, FIELD_P)
-    b = Residue(1, ORDER_N)
-    for op in (add_mod, sub_mod, mul_mod):
-        with pytest.raises(ValueError):
-            op(a, b)
-
-
-def test_residue_range_enforced():
-    with pytest.raises(ValueError):
-        Residue(FIELD_P.value, FIELD_P)
-    with pytest.raises(ValueError):
-        Residue(-1, FIELD_P)
+            assert mod.add(a, b) == (a + b) % m
+            assert mod.sub(a, b) == (a - b) % m
+            assert mod.mul(a, b) == a * b % m
 
 
 def test_modulus_validation():
@@ -104,7 +82,7 @@ def test_multiplier_iteration_count_fixed():
 
 
 def test_inv_trivial():
-    assert inv_mod(Residue(1, FIELD_P)).value == 1
+    assert FIELD_P.inv(1) == 1
 
 
 def test_inv_three_mod_seven():
@@ -123,7 +101,7 @@ def test_inv_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         FIELD_P.inv(0)
     with pytest.raises(ZeroDivisionError):
-        inv_mod(Residue(0, FIELD_P))
+        ORDER_N.inv(0)
 
 
 def test_inv_times_value_is_one_property():

@@ -1,13 +1,15 @@
 """Operation-trace model tests: shape uniformity, baseline leakage, MSE."""
 
+import hashlib
 import random
 
 import pytest
 
-from ethcold.curve import (CurveParams, IDENTITY, point_add_complete,
-                           ProjectivePoint, SECP256K1)
+from ethcold.curve import (CLASSIC_SCHEDULE, CurveParams, HARDENED_SCHEDULE,
+                           IDENTITY, point_add_complete, ProjectivePoint,
+                           SECP256K1)
 from ethcold.errors import InvalidScalarError
-from ethcold.field import Modulus
+from ethcold.field import Modulus, SECP256K1_P
 from ethcold.trace import (OperationTrace, record_ladder_trace, trace_mse,
                            TraceRecorder, uniformity_report)
 
@@ -112,16 +114,41 @@ def test_mse_unknown_model_rejected():
         trace_mse(t, t, "watts")
 
 
+class LoggingModulus(Modulus):
+    """A modulus that appends the kind of every field operation to ops."""
+
+    __slots__ = ("ops",)
+
+    def __init__(self, value):
+        super().__init__(value)
+        self.ops = []
+
+    def add(self, a, b):
+        self.ops.append("field-add")
+        return super().add(a, b)
+
+    def sub(self, a, b):
+        self.ops.append("field-sub")
+        return super().sub(a, b)
+
+    def mul(self, a, b):
+        self.ops.append("field-mul")
+        return super().mul(a, b)
+
+
 def test_completeness_same_field_op_sequence_for_special_cases():
     """P+Q, P+P, P+(-P), P+O all run the identical 33-step schedule."""
+    logged = LoggingModulus(SECP256K1_P)
+    curve = CurveParams(p=logged, n=SECP256K1.n, b=SECP256K1.b,
+                        gx=SECP256K1.gx, gy=SECP256K1.gy)
     g = SECP256K1.generator
     neg_g = ProjectivePoint(SECP256K1.gx,
                             SECP256K1.p.value - SECP256K1.gy, 1)
     sequences = []
     for q in (point_add_complete(g, g), g, neg_g, IDENTITY):
-        ops = []
-        point_add_complete(g, q, SECP256K1, field_ops=ops)
-        sequences.append(tuple(ops))
+        logged.ops.clear()
+        point_add_complete(g, q, curve)
+        sequences.append(tuple(logged.ops))
     assert len(set(sequences)) == 1
     schedule = sequences[0]
     assert len(schedule) == 33
@@ -236,3 +263,51 @@ def test_uniformity_report_covers_comb():
     assert stats.mse_op_count_max == 0.0
     assert stats.mse_op_register_max == 0.0
     assert report.passed
+
+
+# --- schedule tables and golden traces ---
+
+def _projection(row):
+    return [(slot, op_kind, port) for slot, op_kind, _a, _b, _dst, port in row]
+
+
+def test_hardened_schedule_rows_agree_on_slot_op_and_port():
+    """Static key independence: the bit steers register indices only."""
+    assert _projection(HARDENED_SCHEDULE[0]) == \
+        _projection(HARDENED_SCHEDULE[1])
+
+
+def test_classic_schedule_rows_differ_on_port():
+    assert _projection(CLASSIC_SCHEDULE[0]) != _projection(CLASSIC_SCHEDULE[1])
+
+
+# sha256 over export_lines() (each line plus "\n"), for every scalar
+# 1..order-1 on the mod-103 curve and for k = 0xdeadbeef on secp256k1;
+# recorded before the ladders became schedule tables.
+GOLDEN_TRACES = {
+    "hardened": (
+        "992227c3da3fb9ea4154d7b70fac90d39bda312c5b69a26ff1d167a6b23d798f",
+        "9139d412828e567e8e96c85dfb48b56f1e76af0529d8ae6f41cb61aeedafed1c"),
+    "classic": (
+        "14c246ef6ac4972e3f80bd8f2d1b1587c3062a203489fa2e821d0630435115f4",
+        "5402ec516b2d29a53c040879aca012470408f0a58484a82903cddacc2aecc308"),
+    "comb": (
+        "940108e114c491e4c14b28e39763e206b69b64f7b2f01b368c1fc16855bdc712",
+        "db4ce369d0b14641a90c14ac65f7c714d34c7fffba064b34a5c3d9eb38d909c2"),
+}
+
+
+def _export_digest(traces):
+    h = hashlib.sha256()
+    for trace in traces:
+        for line in trace.export_lines():
+            h.update((line + "\n").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_TRACES))
+def test_export_lines_match_golden_digests(variant):
+    small, secp = GOLDEN_TRACES[variant]
+    assert _export_digest(record_ladder_trace(k, variant, SMALL)
+                          for k in range(1, SC["order"])) == small
+    assert _export_digest([record_ladder_trace(0xdeadbeef, variant)]) == secp

@@ -64,8 +64,13 @@ def test_wrong_lengths_rejected():
 
 def test_parse_hex_bytes():
     assert parse_hex_bytes("0x0001") == b"\x00\x01"
+    assert parse_hex_bytes(" 0X0001\n") == b"\x00\x01"
     assert parse_hex_bytes("00" * 32, expect_len=32) == bytes(32)
     with pytest.raises(ValidationError):
         parse_hex_bytes("00" * 31, expect_len=32)
+    for bad in ("not hex", "00 01\n02", " 0x" + "11 " * 32, "000",
+                "0x 0001", "\u0663\u0663", "+001", "00_01", "0x-001"):
+        with pytest.raises(ValidationError):
+            parse_hex_bytes(bad)
     with pytest.raises(ValidationError):
-        parse_hex_bytes("not hex")
+        parse_hex_bytes(" 0x" + "11 " * 32, expect_len=32)
