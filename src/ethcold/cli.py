@@ -9,6 +9,7 @@ invocation; no state ever touches disk. Exit codes: 0 success, 2 usage,
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import bip39
@@ -41,6 +42,15 @@ class Session:
         return self.keystore
 
 
+def ascii_int(text: str) -> int:
+    """An optional '-' and 1-10 ASCII digits; argparse maps the ValueError
+    to exit 2. (int() alone also takes spaces, '_', '+' and non-ASCII
+    digits.)"""
+    if not re.fullmatch(r"-?[0-9]{1,10}", text):
+        raise ValueError("not a decimal integer: %r" % text)
+    return int(text)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ethcold",
@@ -56,7 +66,7 @@ def _build_parser():
     src.add_argument("--entropy-hex", help="entropy as hex (16/20/24/28/32 bytes)")
     src.add_argument("--random", action="store_true",
                      help="draw entropy from OS randomness")
-    p.add_argument("--words", type=int, choices=(12, 24), default=24,
+    p.add_argument("--words", type=ascii_int, choices=(12, 24), default=24,
                    help="mnemonic length for --random (default 24)")
     p.add_argument("--passphrase", default="")
 
@@ -71,21 +81,21 @@ def _build_parser():
         p.add_argument("--mnemonic", help="wallet mnemonic (if no session)")
         p.add_argument("--passphrase", default=None)
         if name == "derive":
-            p.add_argument("--count", type=int, required=True)
+            p.add_argument("--count", type=ascii_int, required=True)
         if name == "list":
-            p.add_argument("--count", type=int, default=None,
+            p.add_argument("--count", type=ascii_int, default=None,
                            help="derive this many accounts first if needed")
             p.add_argument("--export-private", action="store_true")
             p.add_argument("--i-understand-risks", action="store_true")
         if name == "sign":
-            p.add_argument("--index", type=int, required=True)
+            p.add_argument("--index", type=ascii_int, required=True)
             p.add_argument("--digest", required=True,
                            help="32-byte hash to sign, as hex")
             p.add_argument("--deterministic", action="store_true",
                            help="RFC 6979 nonce instead of OS randomness")
 
     p = sub.add_parser("trace", help="ladder operation-trace uniformity report")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=ascii_int, required=True)
     p.add_argument("--variant", choices=("hardened", "classic", "both"),
                    default="both")
 

@@ -7,10 +7,12 @@ identity); doubling is the same schedule applied to (P, P).
 Two scalar multiplications run on that schedule:
 
 - A fixed-base comb computes every k*G the wallet needs. The scalar is cut
-  into 4-bit windows; each window selects d * 16^j * G from a table by a
-  scan over all 16 entries and adds it with one complete addition. Every
-  key runs the same sequence: one addition per window (64 on secp256k1),
-  then one inversion.
+  into 6-bit windows; each window selects d * 2^(6j) * G from a table by a
+  scan over all 64 entries and adds it with one complete addition. Every
+  key runs the same sequence: one addition per window (43 on secp256k1,
+  602 multiplies), then one inversion and 2 multiplies. Each table entry
+  is one packed int, and the table is built with one shared inversion
+  per digit step.
 - A fixed-length Montgomery ladder is the variable-base reference: every
   iteration performs one addition and two doublings, the second doubling
   landing in a temporary register so both key-bit branches exercise the
@@ -263,73 +265,135 @@ def scalar_mul_classic(k: int, curve: CurveParams = SECP256K1,
     return _ladder(k, curve, recorder, CLASSIC_SCHEDULE)
 
 
-COMB_WIDTH = 4  # bits per comb window
+COMB_WIDTH = 6  # bits per comb window
 _DIGIT_MASK = (1 << COMB_WIDTH) - 1  # largest digit; a table has one more entry
+# A table entry packs one point as z << 512 | x << 256 | y; every
+# coordinate is below p < 2^256, so the fields never overlap.
+_COORD_BITS = 256
+_COORD_MASK = (1 << _COORD_BITS) - 1
+_PACKED_IDENTITY = 1  # (0 : 1 : 0)
+
+
+def _double_jacobian(pt: tuple, p: int) -> tuple:
+    """2P in Jacobian coordinates (x = X/Z^2, y = Y/Z^3) for y^2 = x^3 + b.
+
+    Only P with Y != 0 is doubled here (multiples of a generator of odd
+    order), so the result never leaves the curve's affine part.
+    """
+    x, y, z = pt
+    yy = y * y % p
+    s = 4 * x * yy % p
+    m = 3 * x * x % p
+    x3 = (m * m - 2 * s) % p
+    return (x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p)
+
+
+def _batch_inverse(values: list, p: int) -> list:
+    """The inverses of non-zero values mod p with one pow (Montgomery's trick)."""
+    prefix = []
+    acc = 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % p
+    inv = pow(acc, -1, p)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * values[i] % p
+    return out
+
+
+def _add_affine_all(accs: list, bases: list, p: int) -> list:
+    """accs[j] + bases[j] for every j, affine, with one inversion in all.
+
+    None is the identity. Each slope is a fraction num/den; the identity
+    and inverse cases have no slope, the doubling case has the tangent's.
+    """
+    slopes = []
+    for a, b in zip(accs, bases):
+        if a is None or (a[0] == b[0] and (a[1] + b[1]) % p == 0):
+            slopes.append(None)
+        elif a[0] == b[0]:
+            slopes.append((3 * a[0] * a[0], 2 * a[1]))
+        else:
+            slopes.append((b[1] - a[1], b[0] - a[0]))
+    invs = _batch_inverse([1 if s is None else s[1] for s in slopes], p)
+    out = []
+    for a, b, s, inv in zip(accs, bases, slopes, invs):
+        if s is None:
+            out.append(b if a is None else None)
+            continue
+        lam = s[0] * inv % p
+        x = (lam * lam - a[0] - b[0]) % p
+        out.append((x, (lam * (a[0] - x) - a[1]) % p))
+    return out
+
+
+def _pack(pt) -> int:
+    """Table entry of an affine point (None is the identity)."""
+    if pt is None:
+        return _PACKED_IDENTITY
+    return (1 << 2 * _COORD_BITS) | (pt[0] << _COORD_BITS) | pt[1]
 
 
 @functools.lru_cache(maxsize=None)
 def _comb_table(curve: CurveParams) -> tuple:
-    """T[j][d] = d * 16^j * G for every window j and digit d.
+    """T[j][d] = d * 2^(6j) * G, packed, for every window j and digit d.
 
-    Entry 0 is the identity; the rest have Z = 1. The table holds public
-    multiples of G only, so it is built once per curve, on first use,
-    with native affine arithmetic outside the modeled datapath.
+    Entry 0 is the identity (packed as 1); the rest have Z = 1. The table
+    holds public multiples of G only, so it is built once per curve, on
+    first use, with native arithmetic outside the modeled datapath:
+    the bases B_j = 2^(6j) * G come from Jacobian doublings brought to
+    affine with one shared inversion, then each digit step d -> d + 1
+    advances the running sums d * B_j of all windows together, with one
+    shared inversion per step (Montgomery's simultaneous inversion).
     """
     p = curve.p.value
-
-    def add(a, b):
-        # affine chord-tangent addition for y^2 = x^3 + b; None is the identity
-        if a is None:
-            return b
-        if b is None:
-            return a
-        if a[0] == b[0]:
-            if (a[1] + b[1]) % p == 0:
-                return None
-            lam = 3 * a[0] * a[0] * pow(2 * a[1], -1, p) % p
-        else:
-            lam = (b[1] - a[1]) * pow(b[0] - a[0], -1, p) % p
-        x = (lam * lam - a[0] - b[0]) % p
-        return (x, (lam * (a[0] - x) - a[1]) % p)
-
+    if p >> _COORD_BITS:
+        raise ValueError("the packed comb table needs p < 2^256")
     windows = -(-curve.scalar_bits // COMB_WIDTH)
-    base = (curve.gx, curve.gy)
-    tables = []
-    for _ in range(windows):
-        row = [IDENTITY]
-        acc = None
-        for _ in range(_DIGIT_MASK):
-            acc = add(acc, base)
-            row.append(IDENTITY if acc is None else ProjectivePoint(*acc, 1))
-        tables.append(tuple(row))
-        base = add(acc, base)
-    return tuple(tables)
+    chain = [(curve.gx, curve.gy, 1)]
+    for _ in range(windows - 1):
+        pt = chain[-1]
+        for _ in range(COMB_WIDTH):
+            pt = _double_jacobian(pt, p)
+        chain.append(pt)
+    bases = []
+    for (x, y, _), zi in zip(chain, _batch_inverse([pt[2] for pt in chain], p)):
+        zi2 = zi * zi % p
+        bases.append((x * zi2 % p, y * zi2 * zi % p))
+    columns = [[_PACKED_IDENTITY] * windows, [_pack(b) for b in bases]]
+    accs = bases
+    for _ in range(_DIGIT_MASK - 1):
+        accs = _add_affine_all(accs, bases, p)
+        columns.append([_pack(a) for a in accs])
+    return tuple(zip(*columns))
 
 
 def _select(row: tuple, digit: int) -> ProjectivePoint:
     """row[digit], read by a scan over every entry with no branch on digit.
 
     The mask is all ones (-1) for the wanted entry and zero for the
-    others; it comes from arithmetic on d ^ digit, which lies in [0, 15].
+    others; it comes from arithmetic on d ^ digit, which lies in
+    [0, _DIGIT_MASK]. One OR per entry gathers all three coordinates.
     """
-    x = y = z = 0
-    for d, (ex, ey, ez) in enumerate(row):
-        mask = (((d ^ digit) + _DIGIT_MASK) >> COMB_WIDTH) - 1
-        x |= ex & mask
-        y |= ey & mask
-        z |= ez & mask
-    return ProjectivePoint(x, y, z)
+    v = 0
+    for d, entry in enumerate(row):
+        v |= entry & ((((d ^ digit) + _DIGIT_MASK) >> COMB_WIDTH) - 1)
+    return ProjectivePoint((v >> _COORD_BITS) & _COORD_MASK, v & _COORD_MASK,
+                           v >> 2 * _COORD_BITS)
 
 
 def scalar_mul_comb(k: int, curve: CurveParams = SECP256K1,
                     recorder=None) -> AffinePoint:
-    """k*G by a fixed-base comb with 4-bit windows (Lim-Lee).
+    """k*G by a fixed-base comb with 6-bit windows (Lim-Lee).
 
-    Window j of the scalar picks d = (k >> 4j) & 15; the accumulator in R0
-    gains T[j][d] = d * 16^j * G through one complete addition, whose
+    Window j of the scalar picks d = (k >> 6j) & 63; the accumulator in R0
+    gains T[j][d] = d * 2^(6j) * G through one complete addition, whose
     schedule is the same for every operand pair, the identity (d = 0)
-    included. Every accepted scalar runs all ceil(scalar_bits / 4)
-    windows, 64 on secp256k1, then one conversion to affine.
+    included. Every accepted scalar runs all ceil(scalar_bits / 6)
+    windows, 43 on secp256k1 (the top one holds 4 bits), then one
+    conversion to affine.
     """
     kk = _reduce_scalar(k, curve)
     table = _comb_table(curve)

@@ -56,6 +56,12 @@ def _checks():
     yield ("compressed generator",
            lambda: serialize_pubkey(public_point(1)).hex(),
            "0279be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798")
+    # n-1 has a non-zero digit in every comb window but the lowest, so this
+    # selects real entries from the 42 rows where k = 1 selects the
+    # identity; (n-1)*G = -G
+    yield ("compressed point of n-1",
+           lambda: serialize_pubkey(public_point(_N - 1)).hex(),
+           "03%064x" % _GX)
     yield ("address of private key 1",
            lambda: to_checksum_address(
                pubkey_to_address(public_point(1))).lower(),

@@ -152,6 +152,19 @@ def test_sign_negative_index(capsys):
     assert code == 3
 
 
+def test_integer_flags_take_ascii_digits_only(capsys):
+    wallet = ["--mnemonic", V12["mnemonic"]]
+    commands = (["derive", *wallet, "--count"], ["list", *wallet, "--count"],
+                ["sign", *wallet, "--digest", "ab" * 32, "--index"],
+                ["trace", "--samples"], ["init", "--random", "--words"])
+    for command in commands:
+        for value in ("\u0663", " 1 ", "1_0", "+1", "\u0661\u0662"):
+            code, out, err = run(capsys, [*command, value])
+            assert code == 2, (command, value)
+            assert out == ""
+            assert "invalid ascii_int value" in err
+
+
 def test_commands_require_wallet(capsys):
     code, _, err = run(capsys, ["derive", "--count", "1"])
     assert code == 3
@@ -187,6 +200,13 @@ def test_trace_command_small_sample(capsys):
 def test_trace_samples_validation(capsys):
     code, _, err = run(capsys, ["trace", "--samples", "1"])
     assert code == 3
+
+
+def test_selftest_passes(capsys):
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 0
+    assert "ok   compressed point of n-1" in out
+    assert "FAIL" not in out
 
 
 def test_passphrase_changes_addresses(capsys):

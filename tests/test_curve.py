@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from ethcold.curve import (AffinePoint, CurveParams, IDENTITY, is_on_curve,
-                           negate, point_add_complete,
+from ethcold.curve import (_comb_table, _select, AffinePoint, CurveParams,
+                           IDENTITY, is_on_curve, negate, point_add_complete,
                            ProjectivePoint, scalar_mul_classic,
                            scalar_mul_comb, scalar_mul_ladder, SECP256K1,
                            to_affine)
@@ -164,11 +164,16 @@ def test_comb_matches_oracle_on_random_scalars():
         assert as_tuple(scalar_mul_comb(k)) == oracle.ec_mul(k)
 
 
+def _small_curve():
+    sc = vectors.SMALL_CURVE
+    return CurveParams(p=Modulus(sc["p"], width=8),
+                       n=Modulus(sc["order"], width=8),
+                       b=sc["b"], gx=sc["gx"], gy=sc["gy"])
+
+
 def test_comb_agrees_with_ladder_on_small_curve_for_every_scalar():
     sc = vectors.SMALL_CURVE
-    small = CurveParams(p=Modulus(sc["p"], width=8),
-                        n=Modulus(sc["order"], width=8),
-                        b=sc["b"], gx=sc["gx"], gy=sc["gy"])
+    small = _small_curve()
     g = (sc["gx"], sc["gy"])
     for k in range(1, sc["order"]):
         got = scalar_mul_comb(k, small)
@@ -180,11 +185,59 @@ def test_comb_agrees_with_ladder_on_small_curve_for_every_scalar():
 
 
 def test_comb_multiply_count_is_fixed():
-    """64 complete additions of 14 multiplies, then 2 in to_affine."""
+    """43 complete additions of 14 multiplies, then 2 in to_affine."""
     seen = set()
     for k in (1, 0xf0f0, N - 1, (1 << 256) - 1):
         with count_mul_iterations() as counts:
             scalar_mul_comb(k)
         assert set(counts) == {256}
         seen.add(len(counts))
-    assert seen == {64 * 14 + 2}
+    assert seen == {43 * 14 + 2}
+
+
+def _unpack(entry):
+    """A packed table entry z << 512 | x << 256 | y as (x, y, z)."""
+    mask = (1 << 256) - 1
+    return ((entry >> 256) & mask, entry & mask, entry >> 512)
+
+
+def _expected_entry(point):
+    """The packed fields of an oracle point: None is (0 : 1 : 0)."""
+    return (0, 1, 0) if point is None else (*point, 1)
+
+
+def test_comb_table_entries_match_oracle():
+    table = _comb_table(SECP256K1)
+    assert len(table) == 43
+    assert {len(row) for row in table} == {64}
+    checked = [(j, d) for j in (0, 1, 42) for d in range(64)]
+    rng = random.Random(0x7AB1E)
+    others = [(j, d) for j in range(2, 42) for d in range(64)]
+    checked += rng.sample(others, 200)
+    for j, d in checked:
+        assert _unpack(table[j][d]) == \
+            _expected_entry(oracle.ec_mul(d << (6 * j))), (j, d)
+
+
+def test_comb_table_matches_repeated_addition_on_small_curve():
+    """Order 111 (two windows), and 3G of order 37, whose row wraps: the
+    running sum meets its inverse at d = 36 and the identity at d = 37."""
+    sc = vectors.SMALL_CURVE
+    g = (sc["gx"], sc["gy"])
+    g3 = oracle.ec_repeat_add(3, g, sc["p"])
+    curves = [(_small_curve(), g, 2),
+              (CurveParams(p=Modulus(sc["p"], width=8), n=Modulus(37, width=8),
+                           b=sc["b"], gx=g3[0], gy=g3[1]), g3, 1)]
+    for curve, base, windows in curves:
+        table = _comb_table(curve)
+        assert len(table) == windows
+        for j, row in enumerate(table):
+            for d, entry in enumerate(row):
+                assert _unpack(entry) == _expected_entry(
+                    oracle.ec_repeat_add(d << (6 * j), base, sc["p"])), (j, d)
+
+
+def test_select_returns_each_entry_of_a_row():
+    row = _comb_table(SECP256K1)[5]
+    for d in range(64):
+        assert tuple(_select(row, d)) == _unpack(row[d]), d

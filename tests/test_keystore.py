@@ -119,8 +119,8 @@ def test_address_consistency_invariant():
         assert account.address == to_checksum_address(pubkey_to_address(pt))
 
 
-# One fixed-base comb runs 898 multiplies (64 additions and one to_affine).
-COMB_MULS = 898
+# One fixed-base comb runs 604 multiplies (43 additions and one to_affine).
+COMB_MULS = 604
 
 
 def test_sibling_account_costs_one_comb():

@@ -110,7 +110,7 @@ HEX_MISSES = st.sampled_from([
     "9" * 40, "-1"])
 # --count and --index stay at most 3, so no argv derives many accounts
 SMALL_INT_MISSES = st.sampled_from(["-1", "-" + "9" * 40, "\u00b2", "0x3", "x",
-                                    "", "\udcff"])
+                                    "", "\udcff", " 2 ", "\u0663", "\u0661"])
 VALUES = {
     "--entropy-hex": _values(["00" * 16, "0x" + "7f" * 32], HEX_MISSES),
     "--digest": _values(["00" * 32, "0x" + "ab" * 32], HEX_MISSES),
@@ -119,10 +119,11 @@ VALUES = {
         MNEMONIC.replace("about", "\udcff"),
         MNEMONIC.replace(" ", "\u00a0")]))),
     "--passphrase": TEXT,
-    "--words": _values(["12", "24", "\u0661\u0662"],
-                       st.sampled_from(["13", "-24", "9" * 40])),
-    "--count": _values(["1", "3", " 2 ", "\u0663"], SMALL_INT_MISSES),
-    "--index": _values(["0", "3", "\u0661"], SMALL_INT_MISSES),
+    "--words": _values(["12", "24"],
+                       st.sampled_from(["13", "-24", "9" * 40,
+                                        "\u0661\u0662"])),
+    "--count": _values(["1", "3"], SMALL_INT_MISSES),
+    "--index": _values(["0", "3"], SMALL_INT_MISSES),
     # only values --samples rejects (the largest is 1), so no report runs
     "--samples": st.sampled_from(["-1", "-" + "9" * 40, "0", "1", "\u0661",
                                   "\u00b2", "1e9", "x", "", "\udcff"]),
