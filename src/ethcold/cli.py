@@ -25,6 +25,10 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_CRYPTO = 4
 
+# The most accounts one derive or list command may ask for: about half a
+# minute of combs. A larger --count exits 3 before any derivation.
+MAX_COUNT = 1000
+
 
 class Session:
     """Wallet state shared by consecutive commands in one process."""
@@ -81,14 +85,18 @@ def _build_parser():
         p.add_argument("--mnemonic", help="wallet mnemonic (if no session)")
         p.add_argument("--passphrase", default=None)
         if name == "derive":
-            p.add_argument("--count", type=ascii_int, required=True)
+            p.add_argument("--count", type=ascii_int, required=True,
+                           help="accounts to derive, 1 to %d" % MAX_COUNT)
         if name == "list":
             p.add_argument("--count", type=ascii_int, default=None,
-                           help="derive this many accounts first if needed")
+                           help="derive accounts up to this many first, "
+                                "1 to %d" % MAX_COUNT)
             p.add_argument("--export-private", action="store_true")
             p.add_argument("--i-understand-risks", action="store_true")
         if name == "sign":
-            p.add_argument("--index", type=ascii_int, required=True)
+            p.add_argument("--index", type=ascii_int, required=True,
+                           help="account index i of m/44'/60'/0'/0/i, "
+                                "below 2^31")
             p.add_argument("--digest", required=True,
                            help="32-byte hash to sign, as hex")
             p.add_argument("--deterministic", action="store_true",
@@ -149,10 +157,16 @@ def _cmd_recover(args, session):
     return EXIT_OK
 
 
+def _check_count(count):
+    """--count is checked before the wallet loads, so a rejected count
+    costs no derivation."""
+    if count is not None and not 1 <= count <= MAX_COUNT:
+        raise ValidationError("--count must be in [1, %d]" % MAX_COUNT)
+
+
 def _cmd_derive(args, session):
+    _check_count(args.count)
     store = _wallet_for(args, session)
-    if args.count < 1:
-        raise ValidationError("--count must be >= 1")
     created = store.generate(args.count)
     payload = {"derived": len(created),
                "indices": [a.index for a in created],
@@ -162,6 +176,7 @@ def _cmd_derive(args, session):
 
 
 def _cmd_list(args, session):
+    _check_count(args.count)
     store = _wallet_for(args, session)
     if args.export_private and not args.i_understand_risks:
         print("refusing to export private keys without --i-understand-risks",
@@ -185,11 +200,7 @@ def _cmd_list(args, session):
 def _cmd_sign(args, session):
     store = _wallet_for(args, session)
     digest = parse_hex_bytes(args.digest, expect_len=32)
-    if args.index < 0:
-        raise ValidationError("--index must be >= 0")
-    if not any(a.index == args.index for a in store.accounts):
-        store.generate(args.index + 1 - len(store.accounts))
-    account = store.select(args.index)
+    account = store.account(args.index)
     nonce = Rfc6979Nonce() if args.deterministic else None
     sig = ecdsa_sign(account.key_int, digest, nonce_source=nonce)
     payload = {"r": "%064x" % sig.r, "s": "%064x" % sig.s,

@@ -6,13 +6,14 @@ identity); doubling is the same schedule applied to (P, P).
 
 Two scalar multiplications run on that schedule:
 
-- A fixed-base comb computes every k*G the wallet needs. The scalar is cut
-  into 6-bit windows; each window selects d * 2^(6j) * G from a table by a
-  scan over all 64 entries and adds it with one complete addition. Every
-  key runs the same sequence: one addition per window (43 on secp256k1,
-  602 multiplies), then one inversion and 2 multiplies. Each table entry
-  is one packed int, and the table is built with one shared inversion
-  per digit step.
+- A fixed-base comb computes every k*G the wallet needs. The scalar is
+  recoded into signed 7-bit digits d in [-63, 64]; each window selects
+  |d| * 2^(7j) * G from a table by a scan over all 65 entries of its
+  row, negates y by a mask when d < 0, and adds the point with one
+  complete addition. Every key runs the same sequence: one addition per
+  window (37 on secp256k1, 518 multiplies), then one inversion and 2
+  multiplies, 520 in all. Each table entry is one packed int, and the
+  table is built with one shared inversion per digit step.
 - A fixed-length Montgomery ladder is the variable-base reference: every
   iteration performs one addition and two doublings, the second doubling
   landing in a temporary register so both key-bit branches exercise the
@@ -265,13 +266,36 @@ def scalar_mul_classic(k: int, curve: CurveParams = SECP256K1,
     return _ladder(k, curve, recorder, CLASSIC_SCHEDULE)
 
 
-COMB_WIDTH = 6  # bits per comb window
-_DIGIT_MASK = (1 << COMB_WIDTH) - 1  # largest digit; a table has one more entry
+COMB_WIDTH = 7  # bits per comb window
+_RADIX = 1 << COMB_WIDTH
+_DIGIT_MASK = _RADIX - 1
+# Signed digits lie in [1 - _MAX_DIGIT, _MAX_DIGIT]; a table row holds the
+# multiples for every magnitude 0.._MAX_DIGIT.
+_MAX_DIGIT = _RADIX >> 1
 # A table entry packs one point as z << 512 | x << 256 | y; every
 # coordinate is below p < 2^256, so the fields never overlap.
 _COORD_BITS = 256
 _COORD_MASK = (1 << _COORD_BITS) - 1
 _PACKED_IDENTITY = 1  # (0 : 1 : 0)
+
+
+def _signed_digits(kk: int, windows: int) -> list:
+    """kk as (|d_j|, neg_j) pairs with kk = sum of d_j * 2^(7j).
+
+    Every digit d_j lies in [-63, 64]. Window j adds the carry of the
+    one below to its 7 bits, d = raw + carry in [0, 128]; a d above 64
+    stands for d - 128 and carries 1 upwards. Carry arithmetic only:
+    neg = (d + 63) >> 7 and |d| = d ^ ((d ^ (128 - d)) & -neg), with no
+    branch on the scalar. neg is also the carry out, so d = 128 gives
+    (0, 1): a negated identity.
+    """
+    digits = []
+    carry = 0
+    for j in range(windows):
+        d = ((kk >> (COMB_WIDTH * j)) & _DIGIT_MASK) + carry
+        carry = (d + _MAX_DIGIT - 1) >> COMB_WIDTH
+        digits.append((d ^ ((d ^ (_RADIX - d)) & -carry), carry))
+    return digits
 
 
 def _double_jacobian(pt: tuple, p: int) -> tuple:
@@ -338,20 +362,25 @@ def _pack(pt) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _comb_table(curve: CurveParams) -> tuple:
-    """T[j][d] = d * 2^(6j) * G, packed, for every window j and digit d.
+    """T[j][a] = a * 2^(7j) * G, packed, for every window j and a = 0..64.
 
-    Entry 0 is the identity (packed as 1); the rest have Z = 1. The table
-    holds public multiples of G only, so it is built once per curve, on
-    first use, with native arithmetic outside the modeled datapath:
-    the bases B_j = 2^(6j) * G come from Jacobian doublings brought to
-    affine with one shared inversion, then each digit step d -> d + 1
-    advances the running sums d * B_j of all windows together, with one
-    shared inversion per step (Montgomery's simultaneous inversion).
+    37 rows of 65 entries on secp256k1. Entry 0 is the identity (packed
+    as 1); the rest have Z = 1. The table holds public multiples of G
+    only, so it is built once per curve, on first use, with native
+    arithmetic outside the modeled datapath: the bases B_j = 2^(7j) * G
+    come from Jacobian doublings brought to affine with one shared
+    inversion, then each step a -> a + 1 advances the running sums
+    a * B_j of all windows together, with one shared inversion per step
+    (Montgomery's simultaneous inversion).
     """
     p = curve.p.value
     if p >> _COORD_BITS:
         raise ValueError("the packed comb table needs p < 2^256")
-    windows = -(-curve.scalar_bits // COMB_WIDTH)
+    # ceil((scalar_bits + 1) / 7) windows, 37 on secp256k1: the extra bit
+    # leaves the top window at most 6 bits of the scalar, so with the
+    # carry from below its digit is at most 64 and the recoding of
+    # _signed_digits ends with no carry out
+    windows = -(-(curve.scalar_bits + 1) // COMB_WIDTH)
     chain = [(curve.gx, curve.gy, 1)]
     for _ in range(windows - 1):
         pt = chain[-1]
@@ -364,43 +393,49 @@ def _comb_table(curve: CurveParams) -> tuple:
         bases.append((x * zi2 % p, y * zi2 * zi % p))
     columns = [[_PACKED_IDENTITY] * windows, [_pack(b) for b in bases]]
     accs = bases
-    for _ in range(_DIGIT_MASK - 1):
+    for _ in range(_MAX_DIGIT - 1):
         accs = _add_affine_all(accs, bases, p)
         columns.append([_pack(a) for a in accs])
     return tuple(zip(*columns))
 
 
-def _select(row: tuple, digit: int) -> ProjectivePoint:
-    """row[digit], read by a scan over every entry with no branch on digit.
+def _select(row: tuple, magnitude: int) -> ProjectivePoint:
+    """row[magnitude], read by a scan over every entry with no branch on it.
 
     The mask is all ones (-1) for the wanted entry and zero for the
-    others; it comes from arithmetic on d ^ digit, which lies in
-    [0, _DIGIT_MASK]. One OR per entry gathers all three coordinates.
+    others; it comes from arithmetic on d ^ magnitude, which lies in
+    [0, _DIGIT_MASK] for the 65 entries of a row. One OR per entry
+    gathers all three coordinates.
     """
     v = 0
     for d, entry in enumerate(row):
-        v |= entry & ((((d ^ digit) + _DIGIT_MASK) >> COMB_WIDTH) - 1)
+        v |= entry & ((((d ^ magnitude) + _DIGIT_MASK) >> COMB_WIDTH) - 1)
     return ProjectivePoint((v >> _COORD_BITS) & _COORD_MASK, v & _COORD_MASK,
                            v >> 2 * _COORD_BITS)
 
 
 def scalar_mul_comb(k: int, curve: CurveParams = SECP256K1,
                     recorder=None) -> AffinePoint:
-    """k*G by a fixed-base comb with 6-bit windows (Lim-Lee).
+    """k*G by a fixed-base comb with signed 7-bit digits (Lim-Lee).
 
-    Window j of the scalar picks d = (k >> 6j) & 63; the accumulator in R0
-    gains T[j][d] = d * 2^(6j) * G through one complete addition, whose
-    schedule is the same for every operand pair, the identity (d = 0)
-    included. Every accepted scalar runs all ceil(scalar_bits / 6)
-    windows, 43 on secp256k1 (the top one holds 4 bits), then one
-    conversion to affine.
+    The reduced scalar is recoded into digits d_j in [-63, 64] (see
+    _signed_digits). Window j selects T[j][|d_j|] = |d_j| * 2^(7j) * G,
+    negates its y by a mask when d_j < 0 (the identity (0 : 1 : 0)
+    becomes (0 : -1 : 0), still the identity), and adds it to the
+    accumulator in R0 through one complete addition, whose schedule is
+    the same for every operand pair. Every accepted scalar runs all
+    ceil((scalar_bits + 1) / 7) windows, 37 on secp256k1, then one
+    conversion to affine: 37 * 14 + 2 = 520 multiplies.
     """
     kk = _reduce_scalar(k, curve)
     table = _comb_table(curve)
+    sub = curve.p.sub
     r0 = IDENTITY
-    for j, row in enumerate(table):
-        digit = (kk >> (COMB_WIDTH * j)) & _DIGIT_MASK
-        r0 = point_add_complete(r0, _select(row, digit), curve)
+    for j, (row, (magnitude, neg)) in enumerate(
+            zip(table, _signed_digits(kk, len(table)))):
+        x, y, z = _select(row, magnitude)
+        y ^= (y ^ sub(0, y)) & -neg
+        r0 = point_add_complete(r0, ProjectivePoint(x, y, z), curve)
         if recorder is not None:
             recorder.record(j, "PA0", "point-add", "R0", _point_weight(r0))
     return _finish(r0, curve, recorder, len(table))

@@ -10,11 +10,11 @@ them in place, best effort.
 from dataclasses import dataclass, field
 
 from .address import pubkey_to_address, to_checksum_address
-from .errors import DerivationError
+from .errors import DerivationError, ValidationError
 # public_point is not called here; it stays importable under this module
 # because the benchmark's layer probe (bench/layers.py) wraps it here.
-from .hd import (derive_path, ETH_BASE_PATH, ExtendedKey, PathCache,  # noqa: F401
-                 public_point, serialize_pubkey)
+from .hd import (derive_path, ETH_BASE_PATH, ExtendedKey, HARDENED,  # noqa: F401
+                 PathCache, public_point, serialize_pubkey)
 from .u256 import to_bytes32
 
 
@@ -48,18 +48,38 @@ class Keystore:
         """Derive accounts for the next ``count`` address indices."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        start = self._next_index()
         created = []
-        index = start
+        index = self._next_index()
         while len(created) < count:
-            path = self.base_path + (index,)
             try:
-                node = derive_path(self.master, path, self._cache)
+                account = self._derive(index)
             except DerivationError:
                 # probability ~2^-128 per index; skip per convention
                 self.skipped.append(index)
                 index += 1
                 continue
+            self.accounts.append(account)
+            created.append(account)
+            index += 1
+        return created
+
+    def account(self, index: int) -> Account:
+        """The account at base_path + (index,), for 0 <= index < 2^31.
+
+        Derives that one path, which costs one CKD and one comb once the
+        parent node is cached, and keeps the account for later calls and
+        for wipe(). It joins neither ``accounts`` nor the count behind
+        generate(), so a later generate() hands out the same indices.
+        """
+        if not 0 <= index < HARDENED:
+            raise ValidationError("account index must be in [0, 2^31)")
+        return self._derive(index)
+
+    def _derive(self, index: int) -> Account:
+        account = self._by_index.get(index)
+        if account is None:
+            node = derive_path(self.master, self.base_path + (index,),
+                               self._cache)
             point = node.point
             account = Account(
                 index=index,
@@ -67,11 +87,8 @@ class Keystore:
                 public_key=serialize_pubkey(point),
                 address=to_checksum_address(pubkey_to_address(point)),
             )
-            self.accounts.append(account)
             self._by_index[index] = account
-            created.append(account)
-            index += 1
-        return created
+        return account
 
     def _next_index(self) -> int:
         used = [a.index for a in self.accounts] + self.skipped
@@ -94,7 +111,7 @@ class Keystore:
 
     def wipe(self):
         """Zero private-key buffers and drop all accounts."""
-        for a in self.accounts:
+        for a in self._by_index.values():
             for i in range(len(a.private_key)):
                 a.private_key[i] = 0
         self.accounts.clear()

@@ -8,7 +8,7 @@ nonces. The full suite lives in the package's tests.
 
 from .address import pubkey_to_address, to_checksum_address
 from .bip39 import entropy_to_mnemonic, mnemonic_to_seed
-from .curve import scalar_mul_ladder
+from .curve import scalar_mul_comb, scalar_mul_ladder
 from .ecdsa import FixedNonce, rfc6979_nonce, sign
 from .hd import master_from_seed, public_point, serialize_pubkey
 from .kdf import hmac_sha512, pbkdf2_hmac_sha512
@@ -17,6 +17,10 @@ from .sha2 import sha256, sha512
 
 _GX = 0x79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798
 _N = 0xfffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141
+# Signed comb digits 64, -63, 62, ..., -29 in windows 0-35 and 1 in the
+# top window: a non-identity entry from every row, negated in the odd
+# windows.
+_ALL_ROWS_K = sum((-1) ** j * (64 - j) << 7 * j for j in range(36)) + (1 << 252)
 
 
 def _checks():
@@ -56,12 +60,15 @@ def _checks():
     yield ("compressed generator",
            lambda: serialize_pubkey(public_point(1)).hex(),
            "0279be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798")
-    # n-1 has a non-zero digit in every comb window but the lowest, so this
-    # selects real entries from the 42 rows where k = 1 selects the
-    # identity; (n-1)*G = -G
+    # (n-1)*G = -G; its signed digits are 0 in windows 19-35, so the
+    # next check covers the rows this one skips
     yield ("compressed point of n-1",
            lambda: serialize_pubkey(public_point(_N - 1)).hex(),
            "03%064x" % _GX)
+    yield ("comb equals ladder on a scalar reading all rows",
+           lambda: "ok" if scalar_mul_comb(_ALL_ROWS_K)
+           == scalar_mul_ladder(_ALL_ROWS_K) else "mismatch",
+           "ok")
     yield ("address of private key 1",
            lambda: to_checksum_address(
                pubkey_to_address(public_point(1))).lower(),

@@ -81,6 +81,14 @@ def bip32_ckd(key, chain, index):
     return child, digest[32:]
 
 
+def bip44_eth_key(seed, index):
+    """The private key at m/44'/60'/0'/0/index."""
+    key, chain = bip32_master(seed)
+    for i in (44 + (1 << 31), 60 + (1 << 31), 1 << 31, 0, index):
+        key, chain = bip32_ckd(key, chain, i)
+    return key
+
+
 def rfc6979_k(d, z):
     v = b"\x01" * 32
     k = b"\x00" * 32

@@ -2,8 +2,10 @@
 
 import json
 
-from ethcold.cli import main, Session
+from ethcold.cli import main, MAX_COUNT, Session
+from ethcold.field import count_mul_iterations
 
+import oracle
 import vectors
 
 V24 = vectors.ETH_ZERO_ENTROPY_24
@@ -150,6 +152,42 @@ def test_sign_negative_index(capsys):
     code, _, err = run(capsys, ["sign", "--mnemonic", V12["mnemonic"],
                                 "--index", "-1", "--digest", "ab" * 32])
     assert code == 3
+
+
+def test_sign_far_index_costs_what_index_0_costs(capsys):
+    """sign derives m/44'/60'/0'/0/i alone, not the i accounts below it."""
+    digest = "ab" * 32
+    key = oracle.bip44_eth_key(bytes.fromhex(V12["seed"]), 1_000_000)
+    r, s, parity = oracle.ecdsa_sign_deterministic(key, bytes.fromhex(digest))
+    costs = []
+    for index in ("0", "1000000"):
+        with count_mul_iterations() as counts:
+            code, out, _ = run(capsys, ["--json", "sign", "--mnemonic",
+                                        V12["mnemonic"], "--index", index,
+                                        "--digest", digest, "--deterministic"])
+        assert code == 0
+        costs.append(len(counts))
+    assert json.loads(out) == {"r": "%064x" % r, "s": "%064x" % s,
+                               "parity": parity}
+    # three combs for the path (m/44'/60'/0', /0, the account), one for
+    # the nonce point and two multiplies for its affine y
+    assert costs == [3 * 520 + 522] * 2
+
+
+def test_over_limit_requests_exit_3_before_deriving(capsys):
+    wallet = ["--mnemonic", V12["mnemonic"]]
+    sign = ["sign", *wallet, "--digest", "ab" * 32, "--index"]
+    for argv in (["derive", *wallet, "--count", str(MAX_COUNT + 1)],
+                 ["derive", *wallet, "--count", "9999999999"],
+                 ["list", *wallet, "--count", str(MAX_COUNT + 1)],
+                 ["list", *wallet, "--count", "0"],
+                 ["list", *wallet, "--count", "-5"],
+                 [*sign, str(1 << 31)], [*sign, "9999999999"]):
+        with count_mul_iterations() as counts:
+            code, out, err = run(capsys, argv)
+        assert code == 3, argv
+        assert out == ""
+        assert counts == [], argv
 
 
 def test_integer_flags_take_ascii_digits_only(capsys):

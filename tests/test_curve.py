@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from ethcold.curve import (_comb_table, _select, AffinePoint, CurveParams,
-                           IDENTITY, is_on_curve, negate, point_add_complete,
-                           ProjectivePoint, scalar_mul_classic,
-                           scalar_mul_comb, scalar_mul_ladder, SECP256K1,
-                           to_affine)
+from ethcold.curve import (_comb_table, _select, _signed_digits,
+                           AffinePoint, CurveParams, IDENTITY, is_on_curve,
+                           negate, point_add_complete, ProjectivePoint,
+                           scalar_mul_classic, scalar_mul_comb,
+                           scalar_mul_ladder, SECP256K1, to_affine)
 from ethcold.errors import InvalidScalarError
 from ethcold.field import count_mul_iterations, Modulus
+from ethcold.selftest import _ALL_ROWS_K
 
 import oracle
 import vectors
@@ -171,28 +172,39 @@ def _small_curve():
                        b=sc["b"], gx=sc["gx"], gy=sc["gy"])
 
 
-def test_comb_agrees_with_ladder_on_small_curve_for_every_scalar():
+def _small_curves():
+    """(curve, base, windows): G of order 111, and 3G of order 37."""
     sc = vectors.SMALL_CURVE
-    small = _small_curve()
     g = (sc["gx"], sc["gy"])
-    for k in range(1, sc["order"]):
-        got = scalar_mul_comb(k, small)
-        assert got == scalar_mul_ladder(k, small), k
-        assert (got.x, got.y) == oracle.ec_repeat_add(k, g, sc["p"]), k
-    for k in (0, sc["order"]):
-        with pytest.raises(InvalidScalarError):
-            scalar_mul_comb(k, small)
+    g3 = oracle.ec_repeat_add(3, g, sc["p"])
+    return [(_small_curve(), g, 2),
+            (CurveParams(p=Modulus(sc["p"], width=8), n=Modulus(37, width=8),
+                         b=sc["b"], gx=g3[0], gy=g3[1]), g3, 1)]
+
+
+def test_comb_agrees_with_ladder_on_small_curve_for_every_scalar():
+    p = vectors.SMALL_CURVE["p"]
+    for curve, base, _ in _small_curves():
+        order = curve.n.value
+        for k in range(1, order):
+            got = scalar_mul_comb(k, curve)
+            assert got == scalar_mul_ladder(k, curve), (order, k)
+            assert (got.x, got.y) == \
+                oracle.ec_repeat_add(k, base, p), (order, k)
+        for k in (0, order):
+            with pytest.raises(InvalidScalarError):
+                scalar_mul_comb(k, curve)
 
 
 def test_comb_multiply_count_is_fixed():
-    """43 complete additions of 14 multiplies, then 2 in to_affine."""
+    """37 complete additions of 14 multiplies, then 2 in to_affine."""
     seen = set()
     for k in (1, 0xf0f0, N - 1, (1 << 256) - 1):
         with count_mul_iterations() as counts:
             scalar_mul_comb(k)
         assert set(counts) == {256}
         seen.add(len(counts))
-    assert seen == {43 * 14 + 2}
+    assert seen == {37 * 14 + 2}
 
 
 def _unpack(entry):
@@ -208,36 +220,108 @@ def _expected_entry(point):
 
 def test_comb_table_entries_match_oracle():
     table = _comb_table(SECP256K1)
-    assert len(table) == 43
-    assert {len(row) for row in table} == {64}
-    checked = [(j, d) for j in (0, 1, 42) for d in range(64)]
+    assert len(table) == 37
+    assert {len(row) for row in table} == {65}
+    checked = [(j, d) for j in (0, 1, 36) for d in range(65)]
     rng = random.Random(0x7AB1E)
-    others = [(j, d) for j in range(2, 42) for d in range(64)]
+    others = [(j, d) for j in range(2, 36) for d in range(65)]
     checked += rng.sample(others, 200)
     for j, d in checked:
         assert _unpack(table[j][d]) == \
-            _expected_entry(oracle.ec_mul(d << (6 * j))), (j, d)
+            _expected_entry(oracle.ec_mul(d << (7 * j))), (j, d)
+
+
+def _table_point(entry):
+    """A packed entry as an oracle point; the identity must be (0 : 1 : 0)."""
+    x, y, z = _unpack(entry)
+    if z == 0:
+        assert (x, y) == (0, 1)
+        return None
+    assert z == 1
+    return (x, y)
+
+
+def test_every_comb_table_entry_by_oracle_relations():
+    """T[0][1] = G, T[j][0] = O, T[j][d] = T[j][d-1] + T[j][1] and
+    T[j+1][1] = 2^7 * T[j][1], checked on every entry of every row."""
+    rows = [[_table_point(e) for e in row] for row in _comb_table(SECP256K1)]
+    assert len(rows) == 37
+    assert rows[0][1] == oracle.G
+    for j, row in enumerate(rows):
+        assert len(row) == 65
+        assert row[0] is None, j
+        for d in range(2, 65):
+            assert row[d] == oracle.ec_add(row[d - 1], row[1]), (j, d)
+        if j + 1 < len(rows):
+            base = row[1]
+            for _ in range(7):
+                base = oracle.ec_add(base, base)
+            assert rows[j + 1][1] == base, j
 
 
 def test_comb_table_matches_repeated_addition_on_small_curve():
     """Order 111 (two windows), and 3G of order 37, whose row wraps: the
-    running sum meets its inverse at d = 36 and the identity at d = 37."""
-    sc = vectors.SMALL_CURVE
-    g = (sc["gx"], sc["gy"])
-    g3 = oracle.ec_repeat_add(3, g, sc["p"])
-    curves = [(_small_curve(), g, 2),
-              (CurveParams(p=Modulus(sc["p"], width=8), n=Modulus(37, width=8),
-                           b=sc["b"], gx=g3[0], gy=g3[1]), g3, 1)]
-    for curve, base, windows in curves:
+    running sum meets its inverse at d = 36, the identity at d = 37 and
+    the doubling case at d = 39."""
+    p = vectors.SMALL_CURVE["p"]
+    for curve, base, windows in _small_curves():
         table = _comb_table(curve)
         assert len(table) == windows
         for j, row in enumerate(table):
+            assert len(row) == 65
             for d, entry in enumerate(row):
                 assert _unpack(entry) == _expected_entry(
-                    oracle.ec_repeat_add(d << (6 * j), base, sc["p"])), (j, d)
+                    oracle.ec_repeat_add(d << (7 * j), base, p)), (j, d)
 
 
 def test_select_returns_each_entry_of_a_row():
     row = _comb_table(SECP256K1)[5]
-    for d in range(64):
+    for d in range(65):
         assert tuple(_select(row, d)) == _unpack(row[d]), d
+
+
+# --- signed-digit recoding ---
+
+def _digit_values(digits):
+    return [-magnitude if neg else magnitude for magnitude, neg in digits]
+
+
+def _recodes(k, digits):
+    values = _digit_values(digits)
+    assert all(-63 <= v <= 64 for v in values), values
+    assert all(0 <= m <= 64 and neg in (0, 1) for m, neg in digits), digits
+    return sum(v << (7 * j) for j, v in enumerate(values)) == k
+
+
+def test_signed_digits_recode_edge_and_random_scalars():
+    rng = random.Random(0x516D)
+    scalars = [k % N for k in COMB_EDGE_SCALARS.values()]
+    scalars += [64, 65, 127, 128, (1 << 252) - 1, N - 2]
+    scalars += [rng.randrange(1, N) for _ in range(200)]
+    for k in scalars:
+        digits = _signed_digits(k, 37)
+        assert len(digits) == 37
+        assert _recodes(k, digits), k
+
+
+def test_signed_digits_of_n_minus_1_carry_through_zero_windows():
+    """Windows 19-35 of n-1 hold 127; each adds the carry, 128 -> 0 with
+    a carry out, and the top window takes the last one."""
+    digits = _signed_digits(N - 1, 37)
+    assert all((N - 1) >> (7 * j) & 127 == 127 for j in range(19, 36))
+    assert digits[19:36] == [(0, 1)] * 17
+    assert _digit_values(digits)[36] == ((N - 1) >> 252) + 1
+    assert _recodes(N - 1, digits)
+
+
+def test_signed_digits_recode_every_small_curve_scalar():
+    for curve, _, windows in _small_curves():
+        for k in range(1, curve.n.value):
+            assert _recodes(k, _signed_digits(k, windows)), k
+
+
+def test_selftest_scalar_reads_every_row_with_both_signs():
+    digits = _signed_digits(_ALL_ROWS_K, 37)
+    assert _recodes(_ALL_ROWS_K, digits)
+    assert all(magnitude for magnitude, _ in digits)
+    assert {neg for _, neg in digits} == {0, 1}

@@ -3,10 +3,12 @@
 import pytest
 
 from ethcold.bip39 import mnemonic_to_seed
+from ethcold.errors import ValidationError
 from ethcold.field import count_mul_iterations
 from ethcold.hd import master_from_seed
 from ethcold.keystore import Keystore
 
+import oracle
 import vectors
 
 V24 = vectors.ETH_ZERO_ENTROPY_24
@@ -119,8 +121,8 @@ def test_address_consistency_invariant():
         assert account.address == to_checksum_address(pubkey_to_address(pt))
 
 
-# One fixed-base comb runs 604 multiplies (43 additions and one to_affine).
-COMB_MULS = 604
+# One fixed-base comb runs 520 multiplies (37 additions and one to_affine).
+COMB_MULS = 520
 
 
 def test_sibling_account_costs_one_comb():
@@ -143,3 +145,49 @@ def test_wipe_drops_cached_points():
         store.generate(1)
     assert len(counts) == 3 * COMB_MULS
     assert store.accounts[0].address == V24["accounts"][0]["address"]
+
+
+def _oracle_key(index):
+    return oracle.bip44_eth_key(bytes.fromhex(V24["seed"]), index)
+
+
+def test_account_derives_one_index_directly():
+    """A far index costs the three combs of its own path, no more."""
+    store = _store()
+    with count_mul_iterations() as counts:
+        account = store.account(1_000_000)
+    assert len(counts) == 3 * COMB_MULS
+    assert account.index == 1_000_000
+    assert account.key_int == _oracle_key(1_000_000)
+    assert store.accounts == []
+    assert store.select(1_000_000) is account
+    with count_mul_iterations() as counts:
+        assert store.account(1_000_000) is account
+    assert counts == []
+
+
+def test_account_leaves_generate_indices_alone():
+    store = _store()
+    store.generate(1)
+    store.account(7)
+    assert [a.index for a in store.generate(2)] == [1, 2]
+    assert store.account(2) is store.accounts[2]
+    assert store.account(2).address == V24["accounts"][2]["address"]
+
+
+def test_account_index_bounds():
+    store = _store()
+    for index in (-1, 1 << 31, 10 ** 10 - 1):
+        with pytest.raises(ValidationError):
+            store.account(index)
+    assert store.account((1 << 31) - 1).key_int == _oracle_key((1 << 31) - 1)
+
+
+def test_wipe_zeroes_directly_derived_accounts():
+    store = _store()
+    buf = store.account(5).private_key
+    assert any(buf)
+    store.wipe()
+    assert not any(buf)
+    with pytest.raises(LookupError):
+        store.select(5)

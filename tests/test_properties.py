@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ethcold.bip39 import mnemonic_to_seed  # noqa: E402
-from ethcold.cli import main, Session  # noqa: E402
+from ethcold.cli import main, MAX_COUNT, Session  # noqa: E402
 from ethcold.errors import ValidationError  # noqa: E402
 from ethcold.hd import format_path, HARDENED, parse_path  # noqa: E402
 from ethcold.u256 import from_hex, U256_MAX  # noqa: E402
@@ -108,9 +108,8 @@ HEX_MISSES = st.sampled_from([
     "zz" * 16, "", "00" * 17, "00 " * 16, " 0x" + "11 " * 32,
     "ab" * 16 + "\n" + "ab" * 16, "\u0663" * 64, "\udcff" + "00" * 31,
     "9" * 40, "-1"])
-# --count and --index stay at most 3, so no argv derives many accounts
-SMALL_INT_MISSES = st.sampled_from(["-1", "-" + "9" * 40, "\u00b2", "0x3", "x",
-                                    "", "\udcff", " 2 ", "\u0663", "\u0661"])
+INT_MISSES = st.sampled_from(["-1", "-" + "9" * 40, "\u00b2", "0x3", "x", "",
+                              "\udcff", " 2 ", "\u0663", "\u0661"])
 VALUES = {
     "--entropy-hex": _values(["00" * 16, "0x" + "7f" * 32], HEX_MISSES),
     "--digest": _values(["00" * 32, "0x" + "ab" * 32], HEX_MISSES),
@@ -122,8 +121,13 @@ VALUES = {
     "--words": _values(["12", "24"],
                        st.sampled_from(["13", "-24", "9" * 40,
                                         "\u0661\u0662"])),
-    "--count": _values(["1", "3"], SMALL_INT_MISSES),
-    "--index": _values(["0", "3"], SMALL_INT_MISSES),
+    # an accepted --count is at most 3, so no argv derives many accounts;
+    # one over the maximum must exit before it derives any
+    "--count": _values(["1", "3"], st.one_of(INT_MISSES, st.sampled_from(
+        [str(MAX_COUNT + 1), "9" * 10]))),
+    # any 10-digit index: one derivation below 2^31, exit 3 at or above it
+    "--index": st.one_of(st.integers(0, 10 ** 10 - 1).map(str), INT_MISSES,
+                         st.sampled_from([str(HARDENED - 1), str(HARDENED)])),
     # only values --samples rejects (the largest is 1), so no report runs
     "--samples": st.sampled_from(["-1", "-" + "9" * 40, "0", "1", "\u0661",
                                   "\u00b2", "1e9", "x", "", "\udcff"]),

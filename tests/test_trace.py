@@ -220,16 +220,16 @@ def test_recorder_single_ownership_contract():
 
 # --- fixed-base comb ---
 
-def test_comb_structure_43_windows():
+def test_comb_structure_37_windows():
     trace = record_ladder_trace(0xdeadbeef, "comb")
     body = [e for e in trace.events if e.slot != "BIA"]
-    assert trace.iterations() == 43
+    assert trace.iterations() == 37
     assert [e[:4] for e in body] == [(j, "PA0", "point-add", "R0")
-                                     for j in range(43)]
+                                     for j in range(37)]
     bia = trace.events[-2:]
     assert all(e.slot == "BIA" and e.op_kind == "field-mul"
-               and e.iteration == 43 for e in bia)
-    assert len(trace) == 45
+               and e.iteration == 37 for e in bia)
+    assert len(trace) == 39
 
 
 def test_comb_shapes_identical_over_random_scalars():
@@ -284,7 +284,7 @@ def test_classic_schedule_rows_differ_on_port():
 # sha256 over export_lines() (each line plus "\n"), for every scalar
 # 1..order-1 on the mod-103 curve and for k = 0xdeadbeef on secp256k1;
 # the ladders' recorded before they became schedule tables, the comb's
-# when its windows became 6 bits wide.
+# when its digits became signed and 7 bits wide.
 GOLDEN_TRACES = {
     "hardened": (
         "992227c3da3fb9ea4154d7b70fac90d39bda312c5b69a26ff1d167a6b23d798f",
@@ -293,8 +293,8 @@ GOLDEN_TRACES = {
         "14c246ef6ac4972e3f80bd8f2d1b1587c3062a203489fa2e821d0630435115f4",
         "5402ec516b2d29a53c040879aca012470408f0a58484a82903cddacc2aecc308"),
     "comb": (
-        "5871d32548d5bed99b7632e4b1133fa2e62e546ee3587436ac7f3d8afe402096",
-        "4db3ca48910b0b3a3751c90f5a79323d052ac3596b4c7cc59e5c2ea529bd5a71"),
+        "683c005d83cacfeeb25ebc044b8c0854d1c7feab610f55f95265e8b30f9609d2",
+        "13c4becfaabb600dc0c05e8150dcdac43cabe2cc10b2cbcbd58b500cc2fd4048"),
 }
 
 
