@@ -23,7 +23,7 @@ from .hd import (ckd_priv, derive_path, ETH_BASE_PATH, ExtendedKey,
                  format_path, HARDENED, master_from_seed, parse_path,
                  PathCache, public_point, serialize_pubkey)
 from .kdf import hmac_sha256, hmac_sha512, pbkdf2_hmac_sha512
-from .keccak import Keccak256, keccak256
+from .keccak import keccak256
 from .keystore import Account, Keystore
 from .sha2 import sha256, sha512
 from .trace import (OperationTrace, record_ladder_trace, trace_mse,

@@ -33,11 +33,3 @@ def to_checksum_address(address: bytes) -> str:
             c = chr(ord(c) - 0x20)
         chars.append(c)
     return "0x" + "".join(chars)
-
-
-def address_from_checksummed(text: str) -> bytes:
-    """Parse a 0x address string back to 20 bytes (case-insensitive)."""
-    s = text[2:] if text[:2] in ("0x", "0X") else text
-    if len(s) != 40:
-        raise ValueError("address must be 40 hex characters")
-    return bytes.fromhex(s.lower())

@@ -1,9 +1,10 @@
 """Command-line front end for the cold-wallet pipeline.
 
-Commands either operate on an in-process Session (when driven as a
-library) or re-derive everything from --mnemonic/--entropy-hex per
-invocation; no state ever touches disk. Exit codes: 0 success, 2 usage,
-3 input validation, 4 cryptographic rejection.
+Every command reaches the wallet through a Session: the caller's, when
+main is driven as a library, or a fresh one per invocation. --mnemonic
+(and init/recover) load the wallet into it; no state ever touches disk.
+Exit codes: 0 success, 2 usage, 3 input validation, 4 cryptographic
+rejection.
 """
 
 import argparse
@@ -31,17 +32,16 @@ MAX_COUNT = 1000
 
 
 class Session:
-    """Wallet state shared by consecutive commands in one process."""
+    """The wallet shared by consecutive commands in one process; it keeps
+    the keystore, not the mnemonic or passphrase it came from."""
 
     def __init__(self):
-        self.words = None
-        self.passphrase = ""
         self.keystore = None
 
     def load(self, words, passphrase):
+        """Validate the mnemonic, stretch it and open a fresh keystore."""
+        bip39.mnemonic_to_entropy(words)  # full validation
         seed = bip39.mnemonic_to_seed(words, passphrase)
-        self.words = list(words)
-        self.passphrase = passphrase
         self.keystore = Keystore(master_from_seed(seed))
         return self.keystore
 
@@ -120,19 +120,13 @@ def _emit(args, payload, lines):
 
 
 def _wallet_for(args, session):
-    """Keystore from the session, or rebuilt from --mnemonic."""
-    mnemonic = getattr(args, "mnemonic", None)
-    passphrase = getattr(args, "passphrase", None)
-    if mnemonic is not None:
-        words = mnemonic.split()
-        bip39.mnemonic_to_entropy(words)  # full validation
-        if session is not None:
-            return session.load(words, passphrase or "")
-        seed = bip39.mnemonic_to_seed(words, passphrase or "")
-        return Keystore(master_from_seed(seed))
-    if session is not None and session.keystore is not None:
-        return session.keystore
-    raise ValidationError("no wallet: pass --mnemonic or run init/recover first")
+    """The session's keystore, reloaded first when --mnemonic is given."""
+    if args.mnemonic is not None:
+        return session.load(args.mnemonic.split(), args.passphrase or "")
+    if session.keystore is None:
+        raise ValidationError(
+            "no wallet: pass --mnemonic or run init/recover first")
+    return session.keystore
 
 
 def _cmd_init(args, session):
@@ -141,8 +135,7 @@ def _cmd_init(args, session):
     else:
         entropy = os.urandom(16 if args.words == 12 else 32)
     words = bip39.entropy_to_mnemonic(entropy)
-    if session is not None:
-        session.load(words, args.passphrase)
+    session.load(words, args.passphrase)
     _emit(args, {"mnemonic": " ".join(words)},
           ["mnemonic: %s" % " ".join(words)])
     return EXIT_OK
@@ -150,9 +143,7 @@ def _cmd_init(args, session):
 
 def _cmd_recover(args, session):
     words = args.mnemonic.split()
-    bip39.mnemonic_to_entropy(words)
-    if session is not None:
-        session.load(words, args.passphrase)
+    session.load(words, args.passphrase)
     _emit(args, {"words": len(words)}, ["recovered: %d words" % len(words)])
     return EXIT_OK
 
@@ -178,6 +169,9 @@ def _cmd_derive(args, session):
 def _cmd_list(args, session):
     _check_count(args.count)
     store = _wallet_for(args, session)
+    if args.count is None and not store.accounts:
+        raise ValidationError("no accounts to list: pass --count or run "
+                              "derive first")
     if args.export_private and not args.i_understand_risks:
         print("refusing to export private keys without --i-understand-risks",
               file=sys.stderr)
@@ -246,6 +240,8 @@ def main(argv=None, session=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if session is None:
+        session = Session()
     try:
         return _COMMANDS[args.command](args, session)
     except ValidationError as exc:

@@ -149,12 +149,6 @@ def to_affine(P: ProjectivePoint,
     return AffinePoint(mod.mul(P.x, zi), mod.mul(P.y, zi))
 
 
-def negate(pt: AffinePoint, curve: CurveParams = SECP256K1) -> AffinePoint:
-    if pt.infinity:
-        return pt
-    return AffinePoint(pt.x, (curve.p.value - pt.y) % curve.p.value)
-
-
 def is_on_curve(pt: AffinePoint, curve: CurveParams = SECP256K1) -> bool:
     if pt.infinity:
         return True

@@ -100,8 +100,7 @@ def _check_key_and_digest(d: int, z: bytes):
         raise ValidationError("digest must be exactly 32 bytes")
 
 
-def sign(d: int, z: bytes, nonce_source=None, low_s: bool = True,
-         curve=SECP256K1) -> Signature:
+def sign(d: int, z: bytes, nonce_source=None, low_s: bool = True) -> Signature:
     """Sign a 32-byte digest.
 
     Draws k from the nonce source until a candidate in [1, n-1] yields
@@ -114,7 +113,7 @@ def sign(d: int, z: bytes, nonce_source=None, low_s: bool = True,
     for k in source.nonces(d, z):
         if not 1 <= k < _N:
             continue
-        pt = scalar_mul_comb(k, curve)
+        pt = scalar_mul_comb(k, SECP256K1)
         r = pt.x % _N
         if r == 0:
             continue

@@ -12,8 +12,11 @@ of running the comb again. The point lives and dies with its node, so no
 process-wide cache holds keys.
 
 Paths print as m/44'/60'/0'/0/i with an apostrophe marking hardened
-indices. A PathCache stores derived prefix nodes so sibling address
-indices cost exactly one derivation, and one comb, after the first.
+indices. derive_path folds ckd_priv along a path, starting from any node:
+the keystore keeps the node m/44'/60'/0'/0 and derives each account from
+it in one step. A caller that walks many paths can instead pass a
+PathCache, which keeps every prefix node (leaves included) and counts
+CKD calls.
 """
 
 import functools

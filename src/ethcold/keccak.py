@@ -1,8 +1,8 @@
 """Keccak-256 as used by Ethereum: original 0x01 domain padding, not SHA-3.
 
-Sponge over Keccak-f[1600]: rate 1088 bits (136 bytes), capacity 512 bits,
-24 rounds. State is 25 lanes of 64 bits, loaded little-endian, indexed
-[x][y] with lane i at (i % 5, i // 5).
+One-shot sponge over Keccak-f[1600]: rate 1088 bits (136 bytes), capacity
+512 bits, 24 rounds. The state is a flat list of 25 lanes of 64 bits;
+lane x + 5*y is loaded little-endian from bytes 8*(x + 5*y) of a block.
 """
 
 _MASK = 0xffffffffffffffff
@@ -16,96 +16,50 @@ _ROUND_CONSTANTS = [
     0x8000000080008081, 0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 ]
 
-# rho rotation offsets, [x][y]
-_ROTATION = [
-    [0, 36, 3, 41, 18],
-    [1, 44, 10, 45, 2],
-    [62, 6, 43, 15, 61],
-    [28, 55, 25, 21, 56],
-    [27, 20, 39, 8, 14],
-]
+# rho rotation offsets by lane x + 5*y
+_ROTATION = [0, 1, 62, 28, 27, 36, 44, 6, 55, 20, 3, 10, 43, 25, 39,
+             41, 45, 15, 21, 8, 18, 2, 61, 56, 14]
+
+# (lane, its theta column x, rho offset, pi destination y + 5*((2x + 3y) % 5))
+_RHO_PI = tuple((x + 5 * y, x, _ROTATION[x + 5 * y],
+                 y + 5 * ((2 * x + 3 * y) % 5))
+                for y in range(5) for x in range(5))
 
 RATE_BYTES = 136
 
 
-def _rol(v, n):
-    return ((v << n) | (v >> (64 - n))) & _MASK
-
-
-def keccak_f1600(a):
-    """24-round permutation over a 5x5 lane matrix, in place."""
+def _permute(a):
+    """Keccak-f[1600] over the flat lane list, in place."""
+    b = [0] * 25
     for rc in _ROUND_CONSTANTS:
-        # theta
-        c = [a[x][0] ^ a[x][1] ^ a[x][2] ^ a[x][3] ^ a[x][4] for x in range(5)]
-        d = [c[(x - 1) % 5] ^ _rol(c[(x + 1) % 5], 1) for x in range(5)]
-        for x in range(5):
-            ax, dx = a[x], d[x]
-            for y in range(5):
-                ax[y] ^= dx
-        # rho + pi
-        b = [[0] * 5 for _ in range(5)]
-        for x in range(5):
-            for y in range(5):
-                b[y][(2 * x + 3 * y) % 5] = _rol(a[x][y], _ROTATION[x][y])
-        # chi
-        for x in range(5):
-            b0, b1, b2 = b[x], b[(x + 1) % 5], b[(x + 2) % 5]
-            ax = a[x]
-            for y in range(5):
-                ax[y] = b0[y] ^ (~b1[y] & b2[y])
-        # iota
-        a[0][0] ^= rc
-    return a
-
-
-class Keccak256:
-    """Incremental Keccak-256 sponge (absorb via update, squeeze via digest)."""
-
-    digest_size = 32
-
-    def __init__(self, data: bytes = b""):
-        self._lanes = [[0] * 5 for _ in range(5)]
-        self._buf = b""
-        if data:
-            self.update(data)
-
-    def _absorb_block(self, block):
-        lanes = self._lanes
-        for i in range(RATE_BYTES // 8):
-            lanes[i % 5][i // 5] ^= int.from_bytes(block[8 * i:8 * i + 8], "little")
-        keccak_f1600(lanes)
-
-    def update(self, data: bytes):
-        buf = self._buf + data
-        end = len(buf) - len(buf) % RATE_BYTES
-        for off in range(0, end, RATE_BYTES):
-            self._absorb_block(buf[off:off + RATE_BYTES])
-        self._buf = buf[end:]
-        return self
-
-    def copy(self):
-        c = Keccak256.__new__(Keccak256)
-        c._lanes = [row[:] for row in self._lanes]
-        c._buf = self._buf
-        return c
-
-    def digest(self) -> bytes:
-        # pad10*1 with the legacy 0x01 domain byte (SHA-3 would use 0x06)
-        final = self.copy()
-        pad_len = RATE_BYTES - len(final._buf)
-        if pad_len == 1:
-            block = final._buf + b"\x81"
-        else:
-            block = final._buf + b"\x01" + b"\x00" * (pad_len - 2) + b"\x80"
-        final._absorb_block(block)
-        out = b"".join(
-            final._lanes[i % 5][i // 5].to_bytes(8, "little")
-            for i in range(RATE_BYTES // 8))
-        return out[:32]
-
-    def hexdigest(self) -> str:
-        return self.digest().hex()
+        c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20]
+             for x in range(5)]
+        # c[x - 1] and c[x - 4] are columns x - 1 and x + 1 mod 5
+        d = [c[x - 1] ^ (((c[x - 4] << 1) | (c[x - 4] >> 63)) & _MASK)
+             for x in range(5)]
+        # theta, rho and pi in one pass
+        for lane, x, rot, dest in _RHO_PI:
+            v = a[lane] ^ d[x]
+            b[dest] = ((v << rot) | (v >> (64 - rot))) & _MASK
+        # chi: each row y takes b[i] ^ (~b[i+1] & b[i+2]) along x
+        for y in range(0, 25, 5):
+            b0, b1, b2, b3, b4 = b[y:y + 5]
+            a[y:y + 5] = (b0 ^ (~b1 & b2), b1 ^ (~b2 & b3), b2 ^ (~b3 & b4),
+                          b3 ^ (~b4 & b0), b4 ^ (~b0 & b1))
+        a[0] ^= rc
 
 
 def keccak256(msg: bytes) -> bytes:
-    return Keccak256(msg).digest()
+    """The 32-byte Keccak-256 digest of ``msg``."""
+    # pad10*1 with the legacy 0x01 domain byte (SHA-3 would use 0x06)
+    pad_len = RATE_BYTES - len(msg) % RATE_BYTES
+    if pad_len == 1:
+        data = msg + b"\x81"
+    else:
+        data = msg + b"\x01" + bytes(pad_len - 2) + b"\x80"
+    a = [0] * 25
+    for off in range(0, len(data), RATE_BYTES):
+        for i in range(RATE_BYTES // 8):
+            a[i] ^= int.from_bytes(data[off + 8 * i:off + 8 * i + 8], "little")
+        _permute(a)
+    return b"".join(a[i].to_bytes(8, "little") for i in range(4))

@@ -1,7 +1,12 @@
 """CLI tests driven through main(argv, session)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import ethcold
 from ethcold.cli import main, MAX_COUNT, Session
 from ethcold.field import count_mul_iterations
 
@@ -271,3 +276,42 @@ def test_non_utf8_passphrase_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_session_and_no_session_give_the_same_exit_code(capsys):
+    """main builds its own Session when given none: one wallet route."""
+    wallet = ["--mnemonic", V12["mnemonic"]]
+    argvs = (["recover", *wallet, "--passphrase", "\udc80"],
+             ["recover", *wallet],
+             ["recover", "--mnemonic", "abandon " * 11 + "abandon"],
+             ["init", "--entropy-hex", "00" * 16, "--passphrase", "\udc80"],
+             ["derive", "--count", "1"],
+             ["derive", *wallet, "--passphrase", "\udc80", "--count", "1"],
+             ["list"],
+             ["list", *wallet],
+             ["list", *wallet, "--count", "1"],
+             ["sign", *wallet, "--index", "0", "--digest", "ab" * 32,
+              "--passphrase", "\udc80"],
+             ["sign", "--index", "0", "--digest", "ab" * 32])
+    for argv in argvs:
+        alone, _, _ = run(capsys, argv)
+        with_session, _, _ = run(capsys, argv, Session())
+        assert alone == with_session, argv
+
+
+def test_list_as_a_process(tmp_path):
+    """One `python -m ethcold.cli` run per argv, as a user types it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(pathlib.Path(ethcold.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-m", "ethcold.cli", "--json", "list",
+            "--mnemonic", V12["mnemonic"]]
+    proc = subprocess.run(argv + ["--count", "1"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)[0]["address"] == V12["address0"]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 3
+    assert "--count" in proc.stderr

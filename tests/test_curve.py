@@ -6,7 +6,7 @@ import pytest
 
 from ethcold.curve import (_comb_table, _select, _signed_digits,
                            AffinePoint, CurveParams, IDENTITY, is_on_curve,
-                           negate, point_add_complete, ProjectivePoint,
+                           point_add_complete, ProjectivePoint,
                            scalar_mul_classic, scalar_mul_comb,
                            scalar_mul_ladder, SECP256K1, to_affine)
 from ethcold.errors import InvalidScalarError
@@ -126,14 +126,6 @@ def test_results_are_on_curve():
     for _ in range(5):
         pt = scalar_mul_ladder(rng.randrange(1, N))
         assert is_on_curve(pt)
-
-
-def test_negate():
-    g_aff = AffinePoint(SECP256K1.gx, SECP256K1.gy)
-    ng = negate(g_aff)
-    assert is_on_curve(ng)
-    assert (ng.y + g_aff.y) % P == 0
-    assert negate(AffinePoint(0, 0, True)).infinity
 
 
 # --- fixed-base comb ---

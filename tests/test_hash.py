@@ -1,9 +1,9 @@
-"""Published-vector and incremental-hashing tests for the hash cores."""
+"""Published-vector tests for the hash cores."""
 
 import hashlib
 import random
 
-from ethcold.keccak import Keccak256, keccak256
+from ethcold.keccak import keccak256
 from ethcold.sha2 import sha256, sha512
 
 import vectors
@@ -54,25 +54,6 @@ def test_sha2_against_stdlib_on_random_lengths():
         msg = rng.randbytes(rng.randrange(0, 600))
         assert sha256(msg) == hashlib.sha256(msg).digest()
         assert sha512(msg) == hashlib.sha512(msg).digest()
-
-
-def _incremental(cls, msg, splits):
-    h = cls()
-    last = 0
-    for cut in splits:
-        h.update(msg[last:cut])
-        last = cut
-    h.update(msg[last:])
-    return h.digest()
-
-
-def test_incremental_equals_one_shot():
-    rng = random.Random(12)
-    for _ in range(15):
-        msg = rng.randbytes(rng.randrange(1, 700))
-        cuts = sorted(rng.randrange(0, len(msg))
-                      for _ in range(rng.randrange(1, 5)))
-        assert _incremental(Keccak256, msg, cuts) == keccak256(msg)
 
 
 def test_keccak_known_digests():

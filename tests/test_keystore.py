@@ -1,11 +1,13 @@
 """Keystore tests: account generation, selection, export hygiene."""
 
+import gc
+
 import pytest
 
 from ethcold.bip39 import mnemonic_to_seed
 from ethcold.errors import ValidationError
 from ethcold.field import count_mul_iterations
-from ethcold.hd import master_from_seed
+from ethcold.hd import ExtendedKey, master_from_seed
 from ethcold.keystore import Keystore
 
 import oracle
@@ -191,3 +193,17 @@ def test_wipe_zeroes_directly_derived_accounts():
     assert not any(buf)
     with pytest.raises(LookupError):
         store.select(5)
+
+
+def test_no_account_node_outlives_its_derivation():
+    """Only the Account's wipeable buffer holds an account key; no
+    ExtendedKey for a generated or directly derived account stays alive."""
+    store = _store()
+    store.generate(3)
+    store.account(50)
+    keys = {a.key_int for a in store.accounts + [store.select(50)]}
+    assert len(keys) == 4
+    gc.collect()
+    leaked = [obj for obj in gc.get_objects()
+              if isinstance(obj, ExtendedKey) and obj.key in keys]
+    assert leaked == []
