@@ -30,6 +30,10 @@ EXIT_CRYPTO = 4
 # minute of combs. A larger --count exits 3 before any derivation.
 MAX_COUNT = 1000
 
+# The most scalars one trace command may ask for: about 90 s with both
+# ladders. A larger --samples exits 3 before any scalar is drawn.
+MAX_SAMPLES = 100
+
 
 class Session:
     """The wallet shared by consecutive commands in one process; it keeps
@@ -39,9 +43,11 @@ class Session:
         self.keystore = None
 
     def load(self, words, passphrase):
-        """Validate the mnemonic, stretch it and open a fresh keystore."""
+        """Validate and stretch the mnemonic; wipe and replace the keystore."""
         bip39.mnemonic_to_entropy(words)  # full validation
         seed = bip39.mnemonic_to_seed(words, passphrase)
+        if self.keystore is not None:
+            self.keystore.wipe()
         self.keystore = Keystore(master_from_seed(seed))
         return self.keystore
 
@@ -103,7 +109,8 @@ def _build_parser():
                            help="RFC 6979 nonce instead of OS randomness")
 
     p = sub.add_parser("trace", help="ladder operation-trace uniformity report")
-    p.add_argument("--samples", type=ascii_int, required=True)
+    p.add_argument("--samples", type=ascii_int, required=True,
+                   help="scalars per ladder, 2 to %d" % MAX_SAMPLES)
     p.add_argument("--variant", choices=("hardened", "classic", "both"),
                    default="both")
 
@@ -205,8 +212,8 @@ def _cmd_sign(args, session):
 
 
 def _cmd_trace(args, session):
-    if args.samples < 2:
-        raise ValidationError("--samples must be >= 2")
+    if not 2 <= args.samples <= MAX_SAMPLES:
+        raise ValidationError("--samples must be in [2, %d]" % MAX_SAMPLES)
     variants = (("hardened", "classic") if args.variant == "both"
                 else (args.variant,))
     report = uniformity_report(args.samples, variants=variants)
@@ -244,14 +251,8 @@ def main(argv=None, session=None) -> int:
         session = Session()
     try:
         return _COMMANDS[args.command](args, session)
-    except ValidationError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except LookupError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
-        # backstop: a stray ValueError is still bad input, not a traceback
+    except (ValidationError, ValueError) as exc:
+        # a stray ValueError is still bad input, not a traceback
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
     except CryptoError as exc:

@@ -8,24 +8,26 @@ reproducible signatures, or a fixed list in tests. Candidates outside
 [1, n-1] and candidates producing r = 0 or s = 0 are discarded and the
 source is asked again.
 
-Verification exists as test plumbing and deliberately uses plain modular
-arithmetic, keeping it an independent route from the signing datapath.
+Verification handles public values only. It runs the package's complete
+addition and to_affine on a copy of secp256k1 whose field multiply is
+native (field.NativeModulus), so it has no point-addition formula of its
+own and is independent of the modeled multiplier.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 # scalar_mul_ladder is not called here; it stays importable under this
 # module because the benchmark's layer probe (bench/layers.py) wraps it here.
-from .curve import (AffinePoint, is_on_curve, scalar_mul_comb,  # noqa: F401
-                    scalar_mul_ladder, SECP256K1)
+from .curve import (AffinePoint, IDENTITY, is_on_curve,  # noqa: F401
+                    point_add_complete, ProjectivePoint, scalar_mul_comb,
+                    scalar_mul_ladder, SECP256K1, to_affine)
 from .errors import CryptoError, InvalidKeyError, ValidationError
-from .field import ORDER_N, SECP256K1_N, SECP256K1_P
+from .field import NativeModulus, ORDER_N, SECP256K1_N, SECP256K1_P
 from .kdf import hmac_sha256
 from .u256 import to_bytes32
 
 _N = SECP256K1_N
-_P = SECP256K1_P
 _HALF_N = _N // 2
 
 
@@ -40,11 +42,6 @@ class Signature:
             raise ValueError("signature components must be in [1, n-1]")
         if self.y_parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
-
-    def to_hex(self, prefix: bool = False) -> str:
-        """r || s as 128 lowercase hex characters (no parity)."""
-        body = "%064x%064x" % (self.r, self.s)
-        return "0x" + body if prefix else body
 
 
 class RandomNonce:
@@ -100,12 +97,12 @@ def _check_key_and_digest(d: int, z: bytes):
         raise ValidationError("digest must be exactly 32 bytes")
 
 
-def sign(d: int, z: bytes, nonce_source=None, low_s: bool = True) -> Signature:
+def sign(d: int, z: bytes, nonce_source=None) -> Signature:
     """Sign a 32-byte digest.
 
     Draws k from the nonce source until a candidate in [1, n-1] yields
-    r != 0 and s != 0. With low_s (the default, required on Ethereum)
-    s > n/2 is replaced by n - s, flipping the recovery parity.
+    r != 0 and s != 0. The result is low-s, as Ethereum requires: s > n/2
+    is replaced by n - s, flipping the recovery parity.
     """
     _check_key_and_digest(d, z)
     source = nonce_source if nonce_source is not None else RandomNonce()
@@ -121,44 +118,25 @@ def sign(d: int, z: bytes, nonce_source=None, low_s: bool = True) -> Signature:
         if s == 0:
             continue
         parity = pt.y & 1
-        if low_s and s > _HALF_N:
+        if s > _HALF_N:
             s = _N - s
             parity ^= 1
         return Signature(r, s, parity)
     raise CryptoError("nonce source exhausted without a valid signature")
 
 
-# --- verification: test plumbing on an independent arithmetic route ---
+# --- verification: public values only, on secp256k1 with a native multiply ---
 
-def _aff_add(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % _P == 0:
-            return None
-        lam = 3 * x1 * x1 * pow(2 * y1, -1, _P) % _P
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, _P) % _P
-    x3 = (lam * lam - x1 - x2) % _P
-    return (x3, (lam * (x1 - x3) - y1) % _P)
-
-
-def _aff_mul(k, pt):
-    acc = None
-    while k:
-        if k & 1:
-            acc = _aff_add(acc, pt)
-        pt = _aff_add(pt, pt)
-        k >>= 1
-    return acc
+_NATIVE = replace(SECP256K1, p=NativeModulus(SECP256K1_P))
 
 
 def verify(pub: AffinePoint, z: bytes, sig) -> bool:
-    """Standard ECDSA verification; malformed inputs return False."""
+    """Standard ECDSA verification; malformed inputs return False.
+
+    u1*G + u2*Q by Shamir's trick: per bit, one doubling and one addition
+    of (identity, G, Q, G + Q)[bits] through point_add_complete on _NATIVE,
+    then one to_affine. No product runs on the modeled multiplier.
+    """
     try:
         r, s = sig.r, sig.s
     except AttributeError:
@@ -178,6 +156,13 @@ def verify(pub: AffinePoint, z: bytes, sig) -> bool:
     w = pow(s, -1, _N)
     u1 = e * w % _N
     u2 = r * w % _N
-    g = (SECP256K1.gx, SECP256K1.gy)
-    point = _aff_add(_aff_mul(u1, g), _aff_mul(u2, (pub.x, pub.y)))
-    return point is not None and point[0] % _N == r
+    q = ProjectivePoint(pub.x, pub.y, 1)
+    g = SECP256K1.generator
+    table = (IDENTITY, g, q, point_add_complete(g, q, _NATIVE))
+    acc = IDENTITY
+    for i in reversed(range(SECP256K1.scalar_bits)):
+        acc = point_add_complete(acc, acc, _NATIVE)
+        acc = point_add_complete(
+            acc, table[(u1 >> i & 1) | (u2 >> i & 1) << 1], _NATIVE)
+    point = to_affine(acc, _NATIVE)
+    return not point.infinity and point.x % _N == r

@@ -10,6 +10,9 @@ never grow past one extra bit. The loop keeps no step counter of its own:
 walks, which is its exact trip count. A wallet k*G (the fixed-base comb)
 costs 520 such multiplies, the variable-base ladder 10,726.
 
+``NativeModulus`` multiplies natively instead, off the modeled datapath,
+for signature verification on public values only.
+
 Inversion is the binary extended-Euclid method: only shifts, compares and
 subtractions. Its trip count IS data-dependent; the wallet runs it once per
 scalar multiplication, after the comb or the ladder, never per key bit.
@@ -107,9 +110,8 @@ class Modulus:
     def inv(self, z: int) -> int:
         """Multiplicative inverse by the binary extended-Euclid method.
 
-        Maintains x*z = u (mod m) and y*z = v (mod m); when the gcd lands
-        in v (u hits zero) the inverse is y. The final one-line select
-        keeps the classical u==1 early-exit form of the algorithm.
+        Maintains x*z = u (mod m) and y*z = v (mod m). The loop ends when
+        u hits zero, which leaves the gcd, 1, in v, so the inverse is y.
         """
         if z == 0:
             raise ZeroDivisionError("0 has no modular inverse")
@@ -128,7 +130,15 @@ class Modulus:
             else:
                 v -= u
                 y = y - x if y > x else y + p - x
-        return x % p if u == 1 else y % p
+        return y % p
+
+
+class NativeModulus(Modulus):
+    """A Modulus with a native multiply that ``count_mul_iterations`` never
+    sees: for public values only, never on a key path."""
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.value
 
 
 # Shared modulus instances for the whole wallet.

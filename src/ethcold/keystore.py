@@ -1,4 +1,4 @@
-"""Volatile in-memory store of derived accounts, selected by index.
+"""Volatile in-memory store of derived accounts, kept by index.
 
 Accounts live only in process memory (persistent retention is out of
 scope). The store keeps the account-parent node m/44'/60'/0'/0 and derives
@@ -94,12 +94,6 @@ class Keystore:
             )
             self._by_index[index] = account
         return account
-
-    def select(self, index: int) -> Account:
-        try:
-            return self._by_index[index]
-        except KeyError:
-            raise LookupError("no account at index %d" % index) from None
 
     def export_records(self, include_private: bool = False) -> list:
         rows = []

@@ -82,7 +82,7 @@ def _checks():
            "8f8a276c19f4149656b280621e358cce24f5f52542772691ee69063b74f15d15")
     yield ("forced-nonce signature identity",
            lambda: "ok" if (lambda sig: sig.s == sig.r)(
-               sign(1, bytes(32), nonce_source=FixedNonce([1]), low_s=False)
+               sign(1, bytes(32), nonce_source=FixedNonce([1]))
            ) else "mismatch",
            "ok")
 

@@ -23,7 +23,6 @@ from typing import NamedTuple, Optional
 
 from . import curve as _curve
 
-SLOTS = ("PA0", "PA1", "BIA")
 OP_KINDS = ("point-add", "point-double", "field-mul", "field-add", "field-sub")
 REGISTERS = ("R0", "R1", "Rt")
 

@@ -7,7 +7,8 @@ import subprocess
 import sys
 
 import ethcold
-from ethcold.cli import main, MAX_COUNT, Session
+from ethcold import cli
+from ethcold.cli import main, MAX_COUNT, MAX_SAMPLES, Session
 from ethcold.field import count_mul_iterations
 
 import oracle
@@ -240,9 +241,27 @@ def test_trace_command_small_sample(capsys):
     assert "PASS" in out
 
 
-def test_trace_samples_validation(capsys):
-    code, _, err = run(capsys, ["trace", "--samples", "1"])
-    assert code == 3
+def test_trace_samples_validation(capsys, monkeypatch):
+    """Below 2 or above MAX_SAMPLES exits 3 before any report runs."""
+    reports = []
+    monkeypatch.setattr(cli, "uniformity_report",
+                        lambda *a, **kw: reports.append(a))
+    for samples in ("1", str(MAX_SAMPLES + 1), "9999999999"):
+        code, out, _ = run(capsys, ["trace", "--samples", samples])
+        assert code == 3, samples
+        assert out == ""
+    assert reports == []
+
+
+def test_reload_wipes_the_replaced_keystore(capsys):
+    session = Session()
+    wallet = ["derive", "--mnemonic", V12["mnemonic"], "--count", "1"]
+    assert run(capsys, wallet, session)[0] == 0
+    buf = session.keystore.accounts[0].private_key
+    assert buf.hex() == V12["key0"]
+    assert run(capsys, [*wallet, "--passphrase", "x"], session)[0] == 0
+    assert buf == bytearray(32)
+    assert any(session.keystore.accounts[0].private_key)
 
 
 def test_selftest_passes(capsys):

@@ -8,7 +8,7 @@ from ethcold.curve import AffinePoint
 from ethcold.ecdsa import (FixedNonce, RandomNonce, Rfc6979Nonce,
                            rfc6979_nonce, sign, Signature, verify)
 from ethcold.errors import CryptoError, InvalidKeyError, ValidationError
-from ethcold.field import SECP256K1_N as N
+from ethcold.field import count_mul_iterations, SECP256K1_N as N
 from ethcold.hd import public_point
 from ethcold.sha2 import sha256
 
@@ -21,22 +21,22 @@ Z2 = sha256(b"second message")
 
 def test_forced_k1_analytic_signature():
     # d = 1, k = 1, z = 0  =>  r = Gx mod n and s = 1*(0 + 1*r) = r
-    sig = sign(1, bytes(32), nonce_source=FixedNonce([1]), low_s=False)
+    # s = r = Gx mod n lies below n/2, so the low-s rule leaves it alone
+    sig = sign(1, bytes(32), nonce_source=FixedNonce([1]))
     gx = 0x79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798
     assert sig.r == gx % N
     assert sig.s == sig.r
 
 
 def test_zero_nonce_injected_is_rejected_and_redrawn():
-    good = sign(5, Z1, nonce_source=FixedNonce([7]), low_s=False)
-    redrawn = sign(5, Z1, nonce_source=FixedNonce([0, 7]), low_s=False)
+    good = sign(5, Z1, nonce_source=FixedNonce([7]))
+    redrawn = sign(5, Z1, nonce_source=FixedNonce([0, 7]))
     assert redrawn == good
 
 
 def test_overrange_nonce_candidates_skipped():
-    good = sign(5, Z1, nonce_source=FixedNonce([7]), low_s=False)
-    redrawn = sign(5, Z1, nonce_source=FixedNonce([N, (1 << 256) - 1, 7]),
-                   low_s=False)
+    good = sign(5, Z1, nonce_source=FixedNonce([7]))
+    redrawn = sign(5, Z1, nonce_source=FixedNonce([N, (1 << 256) - 1, 7]))
     assert redrawn == good
 
 
@@ -84,8 +84,6 @@ def test_deterministic_signature_vectors():
         assert "%064x" % sig.r == case["r"]
         assert "%064x" % sig.s == case["s"]
         assert sig.y_parity == case["parity"]
-        assert sig.to_hex() == case["r"] + case["s"]
-        assert sig.to_hex(prefix=True) == "0x" + case["r"] + case["s"]
 
 
 def test_sign_verify_round_trips():
@@ -112,13 +110,15 @@ def test_sign_verify_round_trips():
 
 
 def test_parity_matches_nonce_point():
+    """The parity is R's y parity, flipped when low-s negates s."""
     for case in vectors.RFC6979_SIGNATURES[:4]:
         d = int(case["d"], 16)
         z = bytes.fromhex(case["z"])
         k = int(case["k"], 16)
         x, y = oracle.ec_mul(k)
-        sig = sign(d, z, nonce_source=FixedNonce([k]), low_s=False)
-        assert sig.y_parity == (y & 1)
+        s_raw = pow(k, -1, N) * (int.from_bytes(z, "big") + x % N * d) % N
+        sig = sign(d, z, nonce_source=FixedNonce([k]))
+        assert sig.y_parity == (y & 1) ^ (s_raw > N // 2)
 
 
 def test_z_larger_than_n_reduces():
@@ -173,3 +173,33 @@ def test_verify_rejects_malformed_inputs():
     assert not verify(AffinePoint(0, 0, True), Z1, sig)   # infinity pubkey
     assert not verify(AffinePoint(5, 7), Z1, sig)         # point off curve
     assert not verify(public_point(d + 1), Z1, sig)       # wrong key
+
+
+def test_verify_round_trips_where_the_shamir_table_degenerates():
+    """Q = G makes the table's G + Q a doubling; Q = -G makes it the
+    identity. Both keys sign and verify, and a tampered s fails."""
+    for d in (1, N - 1):
+        pub = public_point(d)
+        for z in (Z1, Z2):
+            sig = sign(d, z, nonce_source=Rfc6979Nonce())
+            assert verify(pub, z, sig)
+            assert not verify(pub, z, Signature(sig.r, sig.s ^ 1, 0))
+
+
+def test_verify_rejects_a_sum_at_the_identity():
+    """e = -r*d (mod n) makes u1*G + u2*Q = w*(e + r*d)*G the identity,
+    which has no x to compare with r: the verdict is False."""
+    d = 424242
+    r, s = 0x1234567, 0x89abcdef
+    z = ((-r * d) % N).to_bytes(32, "big")
+    assert not verify(public_point(d), z, Signature(r, s, 0))
+
+
+def test_verify_runs_no_modeled_multiply():
+    d = 424242
+    pub = public_point(d)
+    sig = sign(d, Z1, nonce_source=Rfc6979Nonce())
+    with count_mul_iterations() as counts:
+        assert verify(pub, Z1, sig)
+        assert not verify(pub, Z2, sig)
+    assert counts == []

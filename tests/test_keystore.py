@@ -31,7 +31,7 @@ def test_zero_entropy_accounts_match_oracle():
     store = _store()
     store.generate(3)
     for expected in V24["accounts"]:
-        account = store.select(expected["index"])
+        account = store.accounts[expected["index"]]
         assert account.address == expected["address"]
         assert account.public_key.hex() == expected["pub_compressed"]
         assert account.private_key.hex() == expected["key"]
@@ -49,21 +49,14 @@ def test_three_accounts_distinct():
     assert len(addresses) == 3
 
 
-def test_select_out_of_range():
-    store = _store()
-    store.generate(2)
-    with pytest.raises(LookupError):
-        store.select(5)
-
-
 def test_select_matches_list_rows():
     store = _store()
     store.generate(3)
     rows = store.export_records()
     for i, row in enumerate(rows):
-        assert row == store.select(i).public_record()
-        assert row.split() == [str(i), store.select(i).public_key.hex(),
-                               store.select(i).address]
+        assert row == store.account(i).public_record()
+        assert row.split() == [str(i), store.account(i).public_key.hex(),
+                               store.account(i).address]
 
 
 def test_export_omits_private_keys_by_default():
@@ -162,7 +155,6 @@ def test_account_derives_one_index_directly():
     assert account.index == 1_000_000
     assert account.key_int == _oracle_key(1_000_000)
     assert store.accounts == []
-    assert store.select(1_000_000) is account
     with count_mul_iterations() as counts:
         assert store.account(1_000_000) is account
     assert counts == []
@@ -191,8 +183,9 @@ def test_wipe_zeroes_directly_derived_accounts():
     assert any(buf)
     store.wipe()
     assert not any(buf)
-    with pytest.raises(LookupError):
-        store.select(5)
+    fresh = store.account(5)
+    assert fresh.private_key is not buf
+    assert fresh.key_int == _oracle_key(5)
 
 
 def test_no_account_node_outlives_its_derivation():
@@ -201,7 +194,7 @@ def test_no_account_node_outlives_its_derivation():
     store = _store()
     store.generate(3)
     store.account(50)
-    keys = {a.key_int for a in store.accounts + [store.select(50)]}
+    keys = {a.key_int for a in store.accounts + [store.account(50)]}
     assert len(keys) == 4
     gc.collect()
     leaked = [obj for obj in gc.get_objects()

@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ethcold.bip39 import mnemonic_to_seed  # noqa: E402
-from ethcold.cli import main, MAX_COUNT, Session  # noqa: E402
+from ethcold.cli import main, MAX_COUNT, MAX_SAMPLES, Session  # noqa: E402
 from ethcold.errors import ValidationError  # noqa: E402
 from ethcold.hd import format_path, HARDENED, parse_path  # noqa: E402
 
@@ -90,9 +90,11 @@ VALUES = {
     # any 10-digit index: one derivation below 2^31, exit 3 at or above it
     "--index": st.one_of(st.integers(0, 10 ** 10 - 1).map(str), INT_MISSES,
                          st.sampled_from([str(HARDENED - 1), str(HARDENED)])),
-    # only values --samples rejects (the largest is 1), so no report runs
+    # only values --samples rejects (below 2 or above MAX_SAMPLES), so no
+    # report runs
     "--samples": st.sampled_from(["-1", "-" + "9" * 40, "0", "1", "\u0661",
-                                  "\u00b2", "1e9", "x", "", "\udcff"]),
+                                  "\u00b2", "1e9", "x", "", "\udcff",
+                                  str(MAX_SAMPLES + 1), "9999999999"]),
     "--variant": _values(["hardened", "classic", "both"],
                          st.sampled_from(["comb", ""])),
 }
