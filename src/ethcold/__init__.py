@@ -21,7 +21,7 @@ from .errors import (CryptoError, DerivationError, InvalidKeyError,
 from .field import FIELD_P, Modulus, ORDER_N, SECP256K1_N, SECP256K1_P
 from .hd import (ckd_priv, derive_path, ETH_BASE_PATH, ExtendedKey,
                  format_path, HARDENED, master_from_seed, parse_path,
-                 PathCache, public_point, serialize_pubkey)
+                 public_point, serialize_pubkey)
 from .kdf import hmac_sha256, hmac_sha512, pbkdf2_hmac_sha512
 from .keccak import keccak256
 from .keystore import Account, Keystore

@@ -133,6 +133,10 @@ def _wallet_for(args, session):
     if session.keystore is None:
         raise ValidationError(
             "no wallet: pass --mnemonic or run init/recover first")
+    # the session's wallet already has its passphrase; ignoring this one
+    # would print another wallet's addresses
+    if args.passphrase is not None:
+        raise ValidationError("--passphrase needs --mnemonic")
     return session.keystore
 
 

@@ -153,6 +153,9 @@ def is_on_curve(pt: AffinePoint, curve: CurveParams = SECP256K1) -> bool:
     if pt.infinity:
         return True
     p = curve.p.value
+    # coordinates must be canonical: x + p names the same residue as x
+    if not (0 <= pt.x < p and 0 <= pt.y < p):
+        return False
     return (pt.y * pt.y - pt.x ** 3 - curve.b) % p == 0
 
 

@@ -12,11 +12,9 @@ of running the comb again. The point lives and dies with its node, so no
 process-wide cache holds keys.
 
 Paths print as m/44'/60'/0'/0/i with an apostrophe marking hardened
-indices. derive_path folds ckd_priv along a path, starting from any node:
-the keystore keeps the node m/44'/60'/0'/0 and derives each account from
-it in one step. A caller that walks many paths can instead pass a
-PathCache, which keeps every prefix node (leaves included) and counts
-CKD calls.
+indices. derive_path folds ckd_priv along a path, starting from any node.
+It keeps nothing: the one prefix the package reuses is the keystore's
+node m/44'/60'/0'/0, from which each account is a single CKD.
 """
 
 import functools
@@ -43,8 +41,6 @@ class ExtendedKey:
 
     key: int
     chain_code: bytes
-    depth: int = 0
-    child_index: int = 0
 
     def __post_init__(self):
         if not 1 <= self.key < SECP256K1_N:
@@ -64,7 +60,7 @@ def master_from_seed(seed: bytes) -> ExtendedKey:
     key = int.from_bytes(digest[:32], "big")
     if key == 0 or key >= SECP256K1_N:
         raise DerivationError("seed produces an out-of-range master key")
-    return ExtendedKey(key=key, chain_code=digest[32:], depth=0, child_index=0)
+    return ExtendedKey(key=key, chain_code=digest[32:])
 
 
 def public_point(key: int) -> AffinePoint:
@@ -95,8 +91,7 @@ def ckd_priv(parent: ExtendedKey, index: int) -> ExtendedKey:
     child = (left + parent.key) % SECP256K1_N
     if child == 0:
         raise DerivationError("derived key is zero; skip this index")
-    return ExtendedKey(key=child, chain_code=digest[32:],
-                       depth=parent.depth + 1, child_index=index)
+    return ExtendedKey(key=child, chain_code=digest[32:])
 
 
 def parse_path(path: str) -> tuple:
@@ -132,41 +127,10 @@ def format_path(path) -> str:
 ETH_BASE_PATH = parse_path("m/44'/60'/0'/0")
 
 
-class PathCache:
-    """Caches every derived prefix node; counts CKD invocations.
-
-    Single-writer: derive_path mutates the cache, so interleave one
-    derivation at a time per cache instance.
-    """
-
-    def __init__(self):
-        self._nodes = {}
-        self.ckd_calls = 0
-
-    def lookup(self, path: tuple):
-        """Deepest cached ancestor of ``path``: (node, depth covered)."""
-        for end in range(len(path), 0, -1):
-            node = self._nodes.get(path[:end])
-            if node is not None:
-                return node, end
-        return None, 0
-
-    def store(self, path: tuple, node: ExtendedKey):
-        self._nodes[path] = node
-
-
-def derive_path(master: ExtendedKey, path, cache: PathCache = None
-                ) -> ExtendedKey:
-    """Fold ckd_priv along a path, reusing cached prefix nodes."""
-    path = tuple(path)
-    node, done = (None, 0)
-    if cache is not None:
-        node, done = cache.lookup(path)
-    if node is None:
-        node = master
-    for end in range(done + 1, len(path) + 1):
-        node = ckd_priv(node, path[end - 1])
-        if cache is not None:
-            cache.ckd_calls += 1
-            cache.store(path[:end], node)
+def derive_path(node: ExtendedKey, path) -> ExtendedKey:
+    """Fold ckd_priv along a path, starting from ``node``."""
+    # ckd_priv is looked up here at call time, so a wrapper installed on
+    # this module (the benchmark's probe, a test's counter) sees every CKD.
+    for index in path:
+        node = ckd_priv(node, index)
     return node

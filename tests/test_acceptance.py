@@ -17,10 +17,12 @@ from ethcold.ecdsa import FixedNonce, Rfc6979Nonce, sign, verify
 from ethcold.errors import InvalidKeyError, InvalidScalarError
 from ethcold.field import (count_mul_iterations, FIELD_P, Modulus, ORDER_N,
                            SECP256K1_N)
+import ethcold.hd
 from ethcold.hd import (ckd_priv, derive_path, ETH_BASE_PATH,
-                        master_from_seed, PathCache, public_point)
+                        master_from_seed, public_point)
 from ethcold.kdf import hmac_sha512, pbkdf2_hmac_sha512
 from ethcold.keccak import keccak256
+from ethcold.keystore import Keystore
 from ethcold.sha2 import sha256, sha512
 from ethcold.trace import record_ladder_trace
 
@@ -286,10 +288,9 @@ def test_criterion_6_end_to_end_determinism():
         assert " ".join(words) == expected["mnemonic"]
         seed = mnemonic_to_seed(words, "")
         master = master_from_seed(seed)
-        cache = PathCache()
         out = []
         for i in (0, 1):
-            node = derive_path(master, ETH_BASE_PATH + (i,), cache)
+            node = derive_path(master, ETH_BASE_PATH + (i,))
             point = public_point(node.key)
             out.append(to_checksum_address(pubkey_to_address(point)))
         return seed, out
@@ -305,20 +306,31 @@ def test_criterion_6_end_to_end_determinism():
     _report(6, "end-to-end determinism", started)
 
 
-def test_criterion_7_path_cache_optimization():
+def test_criterion_7_path_cache_optimization(monkeypatch):
     started = time.monotonic()
     master = master_from_seed(bytes.fromhex(
         vectors.ETH_ZERO_ENTROPY_24["seed"]))
+    calls = []
 
-    cold = PathCache()
-    node0 = derive_path(master, ETH_BASE_PATH + (0,), cold)
-    assert cold.ckd_calls == 5, "cold derivation must cost 5 CKD calls"
-    node1 = derive_path(master, ETH_BASE_PATH + (1,), cold)
-    assert cold.ckd_calls == 6, "warm derivation must cost exactly 1 more"
+    def counting_ckd(parent, index):
+        calls.append(index)
+        return ckd_priv(parent, index)
 
-    # cache transparency
-    assert node0 == derive_path(master, ETH_BASE_PATH + (0,), None)
-    assert node1 == derive_path(master, ETH_BASE_PATH + (1,), None)
+    monkeypatch.setattr(ethcold.hd, "ckd_priv", counting_ckd)
+    store = Keystore(master)
+    (first,) = store.generate(1)
+    assert len(calls) == 5, "cold derivation must cost 5 CKD calls"
+    (second,) = store.generate(1)
+    assert len(calls) == 6, "warm derivation must cost exactly 1 more"
+    seventh = store.account(7)
+    assert len(calls) == 7, "a far sibling must cost exactly 1 more"
+    assert store.account(7) is seventh
+    assert len(calls) == 7, "a kept account must cost no CKD"
+
+    # transparency: the kept parent gives the uncached path's keys
+    for account in (first, second, seventh):
+        node = derive_path(master, ETH_BASE_PATH + (account.index,))
+        assert account.key_int == node.key
     _report(7, "partial-path cache optimization", started)
 
 

@@ -271,6 +271,25 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_passphrase_without_mnemonic_exits_3_on_a_session(capsys):
+    """A session's wallet keeps its passphrase; another one is refused."""
+    session = Session()
+    assert run(capsys, ["recover", "--mnemonic", V12["mnemonic"]],
+               session)[0] == 0
+    passphrase = ["--passphrase", "hidden"]
+    argvs = (["derive", *passphrase, "--count", "1"],
+             ["list", *passphrase, "--count", "1"],
+             ["sign", *passphrase, "--index", "0", "--digest", "ab" * 32])
+    for argv in argvs:
+        with count_mul_iterations() as counts:
+            code, out, err = run(capsys, argv, session)
+        assert code == 3, argv
+        assert out == ""
+        assert "--passphrase" in err
+        assert counts == []
+    assert session.keystore.accounts == []
+
+
 def test_passphrase_changes_addresses(capsys):
     code, out1, _ = run(capsys, ["--json", "list", "--mnemonic",
                                  V12["mnemonic"], "--count", "1"])

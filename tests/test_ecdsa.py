@@ -8,7 +8,7 @@ from ethcold.curve import AffinePoint
 from ethcold.ecdsa import (FixedNonce, RandomNonce, Rfc6979Nonce,
                            rfc6979_nonce, sign, Signature, verify)
 from ethcold.errors import CryptoError, InvalidKeyError, ValidationError
-from ethcold.field import count_mul_iterations, SECP256K1_N as N
+from ethcold.field import count_mul_iterations, FIELD_P, SECP256K1_N as N
 from ethcold.hd import public_point
 from ethcold.sha2 import sha256
 
@@ -173,6 +173,16 @@ def test_verify_rejects_malformed_inputs():
     assert not verify(AffinePoint(0, 0, True), Z1, sig)   # infinity pubkey
     assert not verify(AffinePoint(5, 7), Z1, sig)         # point off curve
     assert not verify(public_point(d + 1), Z1, sig)       # wrong key
+
+
+def test_verify_rejects_non_canonical_public_key_coordinates():
+    """x + p and y - p name the same point mod p but are not its encoding."""
+    p = FIELD_P.value
+    pub = public_point(7)
+    sig = sign(7, Z1, nonce_source=Rfc6979Nonce())
+    assert verify(pub, Z1, sig)
+    assert not verify(AffinePoint(pub.x + p, pub.y), Z1, sig)
+    assert not verify(AffinePoint(pub.x, pub.y - p), Z1, sig)
 
 
 def test_verify_round_trips_where_the_shamir_table_degenerates():

@@ -1,4 +1,4 @@
-"""BIP-32 derivation tests: reference chains, cache behavior, homomorphism."""
+"""BIP-32 derivation tests: reference chains, paths, homomorphism."""
 
 import random
 
@@ -8,7 +8,7 @@ from ethcold.curve import point_add_complete, ProjectivePoint, to_affine
 from ethcold.errors import InvalidKeyError, ValidationError
 from ethcold.hd import (ckd_priv, derive_path, ETH_BASE_PATH, ExtendedKey,
                         format_path, HARDENED, master_from_seed, parse_path,
-                        PathCache, public_point, serialize_pubkey)
+                        public_point, serialize_pubkey)
 from ethcold.kdf import hmac_sha512
 from ethcold.field import SECP256K1_N
 from ethcold.u256 import to_bytes32
@@ -21,7 +21,6 @@ def test_master_from_reference_seed():
     node = master_from_seed(bytes.fromhex("000102030405060708090a0b0c0d0e0f"))
     assert "%064x" % node.key == vectors.BIP32_CHAIN1[0]["key"]
     assert node.chain_code.hex() == vectors.BIP32_CHAIN1[0]["chain"]
-    assert node.depth == 0
 
 
 def test_master_from_zero_seed():
@@ -40,7 +39,6 @@ def _check_chain(chain, seed_hex):
         node = ckd_priv(node, row["index"])
         assert "%064x" % node.key == row["key"]
         assert node.chain_code.hex() == row["chain"]
-    assert node.depth == len(chain) - 1
 
 
 def test_bip32_chain_1():
@@ -156,35 +154,6 @@ def test_path_parse_errors():
             parse_path(bad)
 
 
-def test_cold_derivation_costs_five_calls_warm_costs_one():
-    master = master_from_seed(bytes.fromhex(vectors.ETH_ZERO_ENTROPY_24["seed"]))
-    cache = PathCache()
-    derive_path(master, ETH_BASE_PATH + (0,), cache)
-    assert cache.ckd_calls == 5
-    derive_path(master, ETH_BASE_PATH + (1,), cache)
-    assert cache.ckd_calls == 6
-    derive_path(master, ETH_BASE_PATH + (2,), cache)
-    assert cache.ckd_calls == 7
-    # a repeated leaf is itself cached
-    derive_path(master, ETH_BASE_PATH + (1,), cache)
-    assert cache.ckd_calls == 7
-
-
-def test_cached_equals_uncached_derivations():
-    """Cache transparency across 50 (seed, index) pairs."""
-    rng = random.Random(123)
-    for _ in range(10):
-        seed = rng.randbytes(64)
-        master = master_from_seed(seed)
-        cache = PathCache()
-        for _ in range(5):
-            index = rng.randrange(0, 1 << 31)
-            path = ETH_BASE_PATH + (index,)
-            cached = derive_path(master, path, cache)
-            uncached = derive_path(master, path, None)
-            assert cached == uncached
-
-
 def test_derive_path_without_cache():
     master = master_from_seed(b"\x11" * 64)
     node = derive_path(master, parse_path("m/0'/1"))
@@ -214,8 +183,7 @@ def test_point_is_public_point_of_key():
 def test_cached_parent_point_gives_same_child():
     parent = master_from_seed(b"\x07" * 64)
     parent.point  # computed here, then kept on parent
-    fresh = ExtendedKey(key=parent.key, chain_code=parent.chain_code,
-                        depth=parent.depth, child_index=parent.child_index)
+    fresh = ExtendedKey(key=parent.key, chain_code=parent.chain_code)
     assert "point" not in vars(fresh)
     assert parent == fresh and hash(parent) == hash(fresh)
     for index in (0, 3, HARDENED + 2):

@@ -1,13 +1,14 @@
 """Keystore tests: account generation, selection, export hygiene."""
 
 import gc
+import random
 
 import pytest
 
 from ethcold.bip39 import mnemonic_to_seed
 from ethcold.errors import ValidationError
 from ethcold.field import count_mul_iterations
-from ethcold.hd import ExtendedKey, master_from_seed
+from ethcold.hd import derive_path, ETH_BASE_PATH, ExtendedKey, master_from_seed
 from ethcold.keystore import Keystore
 
 import oracle
@@ -140,6 +141,19 @@ def test_wipe_drops_cached_points():
         store.generate(1)
     assert len(counts) == 3 * COMB_MULS
     assert store.accounts[0].address == V24["accounts"][0]["address"]
+
+
+def test_cached_equals_uncached_derivations():
+    """The parent node's reuse is transparent across 50 (seed, index) pairs."""
+    rng = random.Random(123)
+    for _ in range(10):
+        seed = rng.randbytes(64)
+        master = master_from_seed(seed)
+        store = Keystore(master)
+        for _ in range(5):
+            index = rng.randrange(0, 1 << 31)
+            uncached = derive_path(master, ETH_BASE_PATH + (index,))
+            assert store.account(index).key_int == uncached.key
 
 
 def _oracle_key(index):
