@@ -26,7 +26,7 @@ from .kdf import hmac_sha256, hmac_sha512, pbkdf2_hmac_sha512
 from .keccak import keccak256
 from .keystore import Account, Keystore
 from .sha2 import sha256, sha512
-from .trace import (OperationTrace, record_ladder_trace, trace_mse,
-                    TraceEvent, TraceRecorder, uniformity_report)
+from .trace import (record_ladder_trace, trace_mse, TraceEvent,
+                    TraceRecorder, uniformity_report)
 
 __version__ = "0.1.0"

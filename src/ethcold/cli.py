@@ -178,15 +178,16 @@ def _cmd_derive(args, session):
 
 
 def _cmd_list(args, session):
+    # refused before the wallet loads, so a refusal stretches no seed
+    if args.export_private and not args.i_understand_risks:
+        print("refusing to export private keys without --i-understand-risks",
+              file=sys.stderr)
+        return EXIT_USAGE
     _check_count(args.count)
     store = _wallet_for(args, session)
     if args.count is None and not store.accounts:
         raise ValidationError("no accounts to list: pass --count or run "
                               "derive first")
-    if args.export_private and not args.i_understand_risks:
-        print("refusing to export private keys without --i-understand-risks",
-              file=sys.stderr)
-        return EXIT_USAGE
     if args.count is not None and len(store.accounts) < args.count:
         store.generate(args.count - len(store.accounts))
     rows = store.export_records(include_private=args.export_private)

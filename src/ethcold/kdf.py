@@ -25,8 +25,4 @@ def pbkdf2_hmac_sha512(password: bytes, salt: bytes, iterations: int,
     salt || big-endian-32(i), XOR-accumulating every digest; blocks are
     concatenated and truncated to dk_len.
     """
-    if iterations < 1:
-        raise ValueError("iteration count must be >= 1")
-    if dk_len < 1:
-        raise ValueError("derived key length must be >= 1")
     return hashlib.pbkdf2_hmac("sha512", password, salt, iterations, dk_len)

@@ -1,14 +1,15 @@
 """Abstract side-channel model for the scalar multiplications.
 
-A recorder attached to a ladder or to the fixed-base comb collects one
-event per point operation: (iteration, slot, op kind, destination
-register, Hamming weight of the written value). For the ladders the slot,
-op kind and register come from the row of the curve module's schedule
-table that the key bit selects. The shape of a trace is the event
-sequence with weights erased; for the balanced ladder and the comb it
-depends only on the fixed scalar width, never on key bits, which is the
-testable core of the design's leakage claim. The classic ladder's shape
-follows the key and serves as the baseline.
+A TraceRecorder passed to a ladder or to the fixed-base comb as its
+recorder collects one event per point operation: (iteration, slot, op
+kind, destination register, Hamming weight of the written value), and is
+itself the trace: it gives the shape, the iteration count and the export
+lines. For the ladders the slot, op kind and register come from the row
+of the curve module's schedule table that the key bit selects. The shape
+of a trace is the event sequence with weights erased; for the balanced
+ladder and the comb it depends only on the fixed scalar width, never on
+key bits, which is the testable core of the design's leakage claim. The
+classic ladder's shape follows the key and serves as the baseline.
 
 Traces can be compared with a synthetic-power MSE under three sample
 models: op-count (1.0 per event), hamming-weight (weight/256), and
@@ -23,10 +24,15 @@ from typing import NamedTuple, Optional
 
 from . import curve as _curve
 
-OP_KINDS = ("point-add", "point-double", "field-mul", "field-add", "field-sub")
+OP_KINDS = ("point-add", "point-double", "field-mul")
 REGISTERS = ("R0", "R1", "Rt")
 
 MSE_MODELS = ("op-count", "hamming-weight", "op-register")
+
+# The curve-module function each traced variant runs.
+_VARIANTS = {"hardened": "scalar_mul_ladder",
+             "classic": "scalar_mul_classic",
+             "comb": "scalar_mul_comb"}
 
 
 class TraceEvent(NamedTuple):
@@ -38,7 +44,8 @@ class TraceEvent(NamedTuple):
 
 
 class TraceRecorder:
-    """Collects events from one scalar multiplication. Single-owner."""
+    """The events of the scalar multiplications it was passed to, in
+    program order; one recorder per multiplication gives one trace."""
 
     def __init__(self):
         self.events = []
@@ -46,14 +53,6 @@ class TraceRecorder:
     def record(self, iteration, slot, op_kind, dest_register, weight):
         self.events.append(
             TraceEvent(iteration, slot, op_kind, dest_register, weight))
-
-    def trace(self) -> "OperationTrace":
-        return OperationTrace(tuple(self.events))
-
-
-@dataclass(frozen=True)
-class OperationTrace:
-    events: tuple
 
     @property
     def shape(self) -> tuple:
@@ -75,26 +74,20 @@ class OperationTrace:
 
 
 def record_ladder_trace(k: int, variant: str = "hardened",
-                        curve=None) -> OperationTrace:
-    """Run a scalar multiplication with a recorder attached.
+                        curve=_curve.SECP256K1) -> TraceRecorder:
+    """Run one scalar multiplication of `variant` with a recorder attached.
 
-    Each variant's function is looked up on the curve module at call time,
-    so a wrapper installed there sees every traced multiply.
+    The function is looked up on the curve module at call time, so a
+    wrapper installed there sees every traced multiply.
     """
-    curve = curve if curve is not None else _curve.SECP256K1
-    rec = TraceRecorder()
-    if variant == "hardened":
-        _curve.scalar_mul_ladder(k, curve, recorder=rec)
-    elif variant == "classic":
-        _curve.scalar_mul_classic(k, curve, recorder=rec)
-    elif variant == "comb":
-        _curve.scalar_mul_comb(k, curve, recorder=rec)
-    else:
+    if variant not in _VARIANTS:
         raise ValueError("variant must be 'hardened', 'classic' or 'comb'")
-    return rec.trace()
+    rec = TraceRecorder()
+    getattr(_curve, _VARIANTS[variant])(k, curve, recorder=rec)
+    return rec
 
 
-def _samples(trace: OperationTrace, model: str):
+def _samples(trace: TraceRecorder, model: str):
     if model == "op-count":
         return [1.0] * len(trace.events)
     if model == "hamming-weight":
@@ -102,13 +95,12 @@ def _samples(trace: OperationTrace, model: str):
     if model == "op-register":
         # one feature per event: operation id and written-register id
         return [float(OP_KINDS.index(e.op_kind) * 8
-                      + (REGISTERS.index(e.dest_register) + 1
-                         if e.dest_register in REGISTERS else 0))
+                      + REGISTERS.index(e.dest_register) + 1)
                 for e in trace.events]
     raise ValueError("unknown model %r (one of %s)" % (model, MSE_MODELS))
 
 
-def trace_mse(t1: OperationTrace, t2: OperationTrace,
+def trace_mse(t1: TraceRecorder, t2: TraceRecorder,
               model: str = "op-count") -> float:
     """Mean square error between per-event synthetic power samples.
 
@@ -162,17 +154,13 @@ class UniformityReport:
         lines.append("result: %s" % ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
 
-    def __str__(self):
-        return self.to_text()
-
 
 def uniformity_report(sample_count: int, variants=("hardened", "classic"),
-                      curve=None, rng: Optional[random.Random] = None
-                      ) -> UniformityReport:
+                      curve=_curve.SECP256K1,
+                      rng: Optional[random.Random] = None) -> UniformityReport:
     """Draw random scalars and compare the trace shapes per variant."""
     if sample_count < 2:
         raise ValueError("need at least 2 samples to compare traces")
-    curve = curve if curve is not None else _curve.SECP256K1
     if rng is None:
         rng = random.Random(int.from_bytes(os.urandom(16), "big"))
     n = curve.n.value

@@ -11,8 +11,9 @@ import pytest
 
 from ethcold.address import pubkey_to_address, to_checksum_address
 from ethcold.bip39 import entropy_to_mnemonic, mnemonic_to_entropy, mnemonic_to_seed
-from ethcold.curve import (AffinePoint, CurveParams, point_add_complete,
-                           scalar_mul_ladder, SECP256K1, to_affine)
+from ethcold.curve import (AffinePoint, CurveParams, is_on_curve,
+                           point_add_complete, scalar_mul_ladder, SECP256K1,
+                           to_affine)
 from ethcold.ecdsa import FixedNonce, Rfc6979Nonce, sign, verify
 from ethcold.errors import InvalidKeyError, InvalidScalarError
 from ethcold.field import (count_mul_iterations, FIELD_P, Modulus, ORDER_N,
@@ -24,7 +25,7 @@ from ethcold.kdf import hmac_sha512, pbkdf2_hmac_sha512
 from ethcold.keccak import keccak256
 from ethcold.keystore import Keystore
 from ethcold.sha2 import sha256, sha512
-from ethcold.trace import record_ladder_trace
+from ethcold.trace import record_ladder_trace, TraceRecorder
 
 import oracle
 import vectors
@@ -211,7 +212,14 @@ def test_criterion_4_ladder_uniformity():
     started = time.monotonic()
     rng = random.Random(0xEC)
     scalars = [rng.randrange(1, N) for _ in range(100)]
-    traces = [record_ladder_trace(k, "hardened") for k in scalars]
+    traces = []
+    for k in scalars:
+        # one run gives both the point and its trace
+        rec = TraceRecorder()
+        point = scalar_mul_ladder(k, recorder=rec)
+        assert (point.x, point.y) == oracle.ec_mul(k)
+        assert is_on_curve(point)
+        traces.append(rec)
 
     shapes = {t.shape for t in traces}
     assert len(shapes) == 1, "hardened shapes differ between keys"

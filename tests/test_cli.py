@@ -80,11 +80,19 @@ def test_list_with_count_json(capsys):
     assert all("private_key" not in r for r in rows)
 
 
-def test_private_export_requires_acknowledgement(capsys):
-    code, _, err = run(capsys, ["list", "--mnemonic", V12["mnemonic"],
-                                "--count", "1", "--export-private"])
-    assert code == 2
-    assert "i-understand-risks" in err
+def test_private_export_requires_acknowledgement(capsys, monkeypatch):
+    """Without --i-understand-risks the export exits 2 before any seed is
+    stretched, with or without --count."""
+    def no_seed(*args, **kwargs):
+        raise AssertionError("the wallet loaded before the refusal")
+    monkeypatch.setattr(ethcold.bip39, "mnemonic_to_seed", no_seed)
+    for count in ([], ["--count", "1"]):
+        code, out, err = run(capsys, ["list", "--mnemonic", V12["mnemonic"],
+                                      "--export-private", *count])
+        assert code == 2, count
+        assert out == ""
+        assert "i-understand-risks" in err
+    monkeypatch.undo()
 
     code, out, _ = run(capsys, ["--json", "list", "--mnemonic", V12["mnemonic"],
                                 "--count", "1", "--export-private",
