@@ -13,8 +13,8 @@ from .bip39 import entropy_to_mnemonic, mnemonic_to_entropy, mnemonic_to_seed
 from .curve import (AffinePoint, CurveParams, point_add_complete,
                     ProjectivePoint, scalar_mul_classic, scalar_mul_comb,
                     scalar_mul_ladder, SECP256K1, to_affine)
-from .ecdsa import (FixedNonce, RandomNonce, Rfc6979Nonce, rfc6979_nonce,
-                    Signature, sign, verify)
+from .ecdsa import (RandomNonce, Rfc6979Nonce, rfc6979_nonce, Signature, sign,
+                    verify)
 from .errors import (CryptoError, DerivationError, InvalidKeyError,
                      InvalidScalarError, MnemonicError, ValidationError,
                      WalletError)
@@ -25,7 +25,6 @@ from .hd import (ckd_priv, derive_path, ETH_BASE_PATH, ExtendedKey,
 from .kdf import hmac_sha256, hmac_sha512, pbkdf2_hmac_sha512
 from .keccak import keccak256
 from .keystore import Account, Keystore
-from .sha2 import sha256, sha512
 from .trace import (record_ladder_trace, trace_mse, TraceEvent,
                     TraceRecorder, uniformity_report)
 

@@ -9,10 +9,10 @@ UTF-8 bytes of the NFKD-normalized sentence and passphrase.
 
 import importlib.resources
 import unicodedata
+from hashlib import sha256
 
 from .errors import MnemonicError, ValidationError
 from .kdf import pbkdf2_hmac_sha512
-from .sha2 import sha256
 
 VALID_ENTROPY_BYTES = (16, 20, 24, 28, 32)
 VALID_WORD_COUNTS = (12, 15, 18, 21, 24)
@@ -55,7 +55,7 @@ def entropy_to_mnemonic(entropy: bytes) -> list:
     words = load_wordlist()
     ent_bits = len(entropy) * 8
     cs_bits = ent_bits // 32
-    checksum = int.from_bytes(sha256(entropy), "big") >> (256 - cs_bits)
+    checksum = int.from_bytes(sha256(entropy).digest(), "big") >> (256 - cs_bits)
     acc = (int.from_bytes(entropy, "big") << cs_bits) | checksum
     n_words = (ent_bits + cs_bits) // 11
     return [words[(acc >> (11 * (n_words - 1 - i))) & 0x7FF]
@@ -79,7 +79,7 @@ def mnemonic_to_entropy(mnemonic) -> bytes:
     cs_bits = total_bits // 33
     ent_bits = total_bits - cs_bits
     entropy = (acc >> cs_bits).to_bytes(ent_bits // 8, "big")
-    expected = int.from_bytes(sha256(entropy), "big") >> (256 - cs_bits)
+    expected = int.from_bytes(sha256(entropy).digest(), "big") >> (256 - cs_bits)
     if acc & ((1 << cs_bits) - 1) != expected:
         raise MnemonicError("mnemonic checksum mismatch")
     return entropy

@@ -190,16 +190,10 @@ def _cmd_list(args, session):
                               "derive first")
     if args.count is not None and len(store.accounts) < args.count:
         store.generate(args.count - len(store.accounts))
-    rows = store.export_records(include_private=args.export_private)
-    payload = []
-    for account in store.accounts:
-        item = {"index": account.index,
-                "public_key": account.public_key.hex(),
-                "address": account.address}
-        if args.export_private:
-            item["private_key"] = account.private_key.hex()
-        payload.append(item)
-    _emit(args, payload, rows)
+    records = [a.record(include_private=args.export_private)
+               for a in store.accounts]
+    _emit(args, records,
+          [" ".join(str(v) for v in record.values()) for record in records])
     return EXIT_OK
 
 

@@ -3,10 +3,9 @@
 The signing datapath is the wallet's own: the nonce point comes from the
 fixed-base comb, the inverse of k from the binary inversion algorithm,
 and products mod n from the shift-and-add multiplier. The nonce is drawn
-from an injectable source: OS randomness by default, RFC 6979 for
-reproducible signatures, or a fixed list in tests. Candidates outside
-[1, n-1] and candidates producing r = 0 or s = 0 are discarded and the
-source is asked again.
+from an injectable source: OS randomness by default, or RFC 6979 for
+reproducible signatures. Candidates outside [1, n-1] and candidates
+producing r = 0 or s = 0 are discarded and the source is asked again.
 
 Verification handles public values only. It runs the package's complete
 addition and to_affine on a copy of secp256k1 whose field multiply is
@@ -74,16 +73,6 @@ class Rfc6979Nonce:
             v = hmac_sha256(key, v)
 
 
-class FixedNonce:
-    """Test-only source yielding the given candidates once each."""
-
-    def __init__(self, values):
-        self._values = list(values)
-
-    def nonces(self, d: int, z: bytes):
-        yield from self._values
-
-
 def rfc6979_nonce(d: int, z: bytes) -> int:
     """First in-range deterministic nonce for (d, z)."""
     _check_key_and_digest(d, z)
@@ -148,9 +137,9 @@ def verify(pub: AffinePoint, z: bytes, sig) -> bool:
         return False
     if not 1 <= r < _N or not 1 <= s < _N:
         return False
-    if len(z) != 32:
+    if not isinstance(z, (bytes, bytearray)) or len(z) != 32:
         return False
-    if pub.infinity or not is_on_curve(pub):
+    if not isinstance(pub, AffinePoint) or pub.infinity or not is_on_curve(pub):
         return False
     e = int.from_bytes(z, "big") % _N
     w = pow(s, -1, _N)

@@ -1,9 +1,10 @@
 """Modular arithmetic mod the secp256k1 field prime and group order.
 
 Multiplication is bit-serial: shift the accumulator, reduce, conditionally
-add the multiplicand, reduce again. The loop always runs ``Modulus.width``
-iterations (256 for the secp256k1 moduli) no matter what the operands look
-like, so the multiplier's operation count is independent of its inputs.
+add the multiplicand, reduce again. The loop always runs one iteration
+per bit of the modulus (256 for the secp256k1 moduli) no matter what the
+operands look like, so the multiplier's operation count is independent of
+its inputs.
 Reduction after every step is a single conditional subtract, so values
 never grow past one extra bit. The loop keeps no step counter of its own:
 ``count_mul_iterations`` records the length of the bit string the loop
@@ -32,7 +33,7 @@ class count_mul_iterations:
 
     with count_mul_iterations() as counts:
         m.mul(a, b)
-    assert counts == [m.width]
+    assert counts == [m.value.bit_length()]
     """
 
     def __enter__(self):
@@ -48,35 +49,31 @@ class count_mul_iterations:
 
 
 class Modulus:
-    """An odd modulus > 2 together with its fixed multiplier width.
+    """An odd modulus > 2.
 
-    ``width`` is the number of shift-and-add iterations used for every
-    multiplication under this modulus. It is a property of the datapath
-    (256 bits for the secp256k1 moduli), never of operand values.
+    Every multiplication under it runs one shift-and-add iteration per bit
+    of the modulus (256 for the secp256k1 moduli), never a count taken
+    from the operand values.
     """
 
-    __slots__ = ("value", "width", "_fmt")
+    __slots__ = ("value", "_fmt")
 
-    def __init__(self, value: int, width: int = 256):
+    def __init__(self, value: int):
         if value <= 2:
             raise ValueError("modulus must be > 2")
         if value % 2 == 0:
             raise ValueError("modulus must be odd")
-        if value.bit_length() > width:
-            raise ValueError("modulus does not fit the multiplier width")
         self.value = value
-        self.width = width
-        self._fmt = "0%db" % width
+        self._fmt = "0%db" % value.bit_length()
 
     def __repr__(self):
-        return "Modulus(0x%x, width=%d)" % (self.value, self.width)
+        return "Modulus(0x%x)" % self.value
 
     def __eq__(self, other):
-        return (isinstance(other, Modulus)
-                and self.value == other.value and self.width == other.width)
+        return isinstance(other, Modulus) and self.value == other.value
 
     def __hash__(self):
-        return hash((self.value, self.width))
+        return hash(self.value)
 
     def add(self, a: int, b: int) -> int:
         s = a + b

@@ -4,10 +4,10 @@ Accounts live only in process memory (persistent retention is out of
 scope). The store keeps the account-parent node m/44'/60'/0'/0 and derives
 each account as one CKD from it, so a sibling costs one derivation and one
 comb; no other node on the path, and no account's own node, is kept.
-Export paths emit public data (index, compressed public key, checksummed
-address) unless the caller passes the explicit private override. Private
-key bytes are held in a bytearray so wipe() can zero them in place, best
-effort.
+An account's record holds public data (index, compressed public key,
+checksummed address) unless the caller passes the explicit private
+override. Private key bytes are held in a bytearray so wipe() can zero
+them in place, best effort.
 """
 
 from dataclasses import dataclass
@@ -32,8 +32,14 @@ class Account:
     def key_int(self) -> int:
         return int.from_bytes(self.private_key, "big")
 
-    def public_record(self) -> str:
-        return "%d %s %s" % (self.index, self.public_key.hex(), self.address)
+    def record(self, include_private: bool = False) -> dict:
+        """The account's listed fields, in output order."""
+        record = {"index": self.index,
+                  "public_key": self.public_key.hex(),
+                  "address": self.address}
+        if include_private:
+            record["private_key"] = self.private_key.hex()
+        return record
 
 
 class Keystore:
@@ -94,15 +100,6 @@ class Keystore:
             )
             self._by_index[index] = account
         return account
-
-    def export_records(self, include_private: bool = False) -> list:
-        rows = []
-        for a in self.accounts:
-            row = a.public_record()
-            if include_private:
-                row += " " + a.private_key.hex()
-            rows.append(row)
-        return rows
 
     def wipe(self):
         """Zero private-key buffers and drop all accounts and the parent."""

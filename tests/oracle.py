@@ -118,3 +118,14 @@ def ecdsa_sign_deterministic(d, z, low_s=True):
         s = N - s
         parity ^= 1
     return r, s, parity
+
+
+class FixedNonce:
+    """A nonce source for ethcold.ecdsa.sign that yields the given
+    candidates once each."""
+
+    def __init__(self, values):
+        self._values = list(values)
+
+    def nonces(self, d, z):
+        yield from self._values

@@ -80,6 +80,23 @@ def test_list_with_count_json(capsys):
     assert all("private_key" not in r for r in rows)
 
 
+def test_list_text_rows_are_the_json_records_joined(capsys):
+    session = Session()
+    assert run(capsys, ["recover", "--mnemonic", V24["mnemonic"]],
+               session)[0] == 0
+    for private in ([], ["--export-private", "--i-understand-risks"]):
+        argv = ["list", "--count", "2", *private]
+        code, text, _ = run(capsys, argv, session)
+        assert code == 0
+        code, out, _ = run(capsys, ["--json", *argv], session)
+        assert code == 0
+        records = json.loads(out)
+        assert len(records) == 2
+        assert ("private_key" in records[0]) == bool(private)
+        assert text.splitlines() == [
+            " ".join(str(v) for v in r.values()) for r in records]
+
+
 def test_private_export_requires_acknowledgement(capsys, monkeypatch):
     """Without --i-understand-risks the export exits 2 before any seed is
     stretched, with or without --count."""

@@ -150,8 +150,8 @@ def test_comb_matches_oracle_on_random_scalars():
 
 def _small_curve():
     sc = vectors.SMALL_CURVE
-    return CurveParams(p=Modulus(sc["p"], width=8),
-                       n=Modulus(sc["order"], width=8),
+    return CurveParams(p=Modulus(sc["p"]),
+                       n=Modulus(sc["order"]),
                        b=sc["b"], gx=sc["gx"], gy=sc["gy"])
 
 
@@ -161,7 +161,7 @@ def _small_curves():
     g = (sc["gx"], sc["gy"])
     g3 = oracle.ec_repeat_add(3, g, sc["p"])
     return [(_small_curve(), g, 2),
-            (CurveParams(p=Modulus(sc["p"], width=8), n=Modulus(37, width=8),
+            (CurveParams(p=Modulus(sc["p"]), n=Modulus(37),
                          b=sc["b"], gx=g3[0], gy=g3[1]), g3, 1)]
 
 

@@ -21,7 +21,7 @@ import oracle
 import vectors
 
 SC = vectors.SMALL_CURVE
-SMALL = CurveParams(p=Modulus(SC["p"], width=8), n=Modulus(SC["order"], width=8),
+SMALL = CurveParams(p=Modulus(SC["p"]), n=Modulus(SC["order"]),
                     b=SC["b"], gx=SC["gx"], gy=SC["gy"])
 P = SC["p"]
 ORDER = SC["order"]

@@ -1,48 +1,48 @@
 """ECDSA signing tests: forced nonces, RFC 6979 vectors, verify verdicts."""
 
 import random
+from hashlib import sha256
 
 import pytest
 
 from ethcold.curve import AffinePoint
-from ethcold.ecdsa import (FixedNonce, RandomNonce, Rfc6979Nonce,
-                           rfc6979_nonce, sign, Signature, verify)
+from ethcold.ecdsa import (RandomNonce, Rfc6979Nonce, rfc6979_nonce, sign,
+                           Signature, verify)
 from ethcold.errors import CryptoError, InvalidKeyError, ValidationError
 from ethcold.field import count_mul_iterations, FIELD_P, SECP256K1_N as N
 from ethcold.hd import public_point
-from ethcold.sha2 import sha256
 
 import oracle
 import vectors
 
-Z1 = sha256(b"first message")
-Z2 = sha256(b"second message")
+Z1 = sha256(b"first message").digest()
+Z2 = sha256(b"second message").digest()
 
 
 def test_forced_k1_analytic_signature():
     # d = 1, k = 1, z = 0  =>  r = Gx mod n and s = 1*(0 + 1*r) = r
     # s = r = Gx mod n lies below n/2, so the low-s rule leaves it alone
-    sig = sign(1, bytes(32), nonce_source=FixedNonce([1]))
+    sig = sign(1, bytes(32), nonce_source=oracle.FixedNonce([1]))
     gx = 0x79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798
     assert sig.r == gx % N
     assert sig.s == sig.r
 
 
 def test_zero_nonce_injected_is_rejected_and_redrawn():
-    good = sign(5, Z1, nonce_source=FixedNonce([7]))
-    redrawn = sign(5, Z1, nonce_source=FixedNonce([0, 7]))
+    good = sign(5, Z1, nonce_source=oracle.FixedNonce([7]))
+    redrawn = sign(5, Z1, nonce_source=oracle.FixedNonce([0, 7]))
     assert redrawn == good
 
 
 def test_overrange_nonce_candidates_skipped():
-    good = sign(5, Z1, nonce_source=FixedNonce([7]))
-    redrawn = sign(5, Z1, nonce_source=FixedNonce([N, (1 << 256) - 1, 7]))
+    good = sign(5, Z1, nonce_source=oracle.FixedNonce([7]))
+    redrawn = sign(5, Z1, nonce_source=oracle.FixedNonce([N, (1 << 256) - 1, 7]))
     assert redrawn == good
 
 
 def test_nonce_source_exhausted():
     with pytest.raises(CryptoError):
-        sign(5, Z1, nonce_source=FixedNonce([0, N]))
+        sign(5, Z1, nonce_source=oracle.FixedNonce([0, N]))
 
 
 def test_invalid_private_keys_rejected():
@@ -62,7 +62,7 @@ def test_rfc6979_determinism():
 
 
 def test_rfc6979_community_vector():
-    z = sha256(b"Satoshi Nakamoto")
+    z = sha256(b"Satoshi Nakamoto").digest()
     assert rfc6979_nonce(1, z) == \
         0x8f8a276c19f4149656b280621e358cce24f5f52542772691ee69063b74f15d15
 
@@ -97,7 +97,7 @@ def test_sign_verify_round_trips():
         if i % 2:
             sig = sign(d, z, nonce_source=Rfc6979Nonce())
         else:
-            sig = sign(d, z, nonce_source=FixedNonce([rng.randrange(1, N)]))
+            sig = sign(d, z, nonce_source=oracle.FixedNonce([rng.randrange(1, N)]))
         pub = pub_cache.setdefault(d, public_point(d))
         assert sig.s <= N // 2
         assert verify(pub, z, sig)
@@ -117,7 +117,7 @@ def test_parity_matches_nonce_point():
         k = int(case["k"], 16)
         x, y = oracle.ec_mul(k)
         s_raw = pow(k, -1, N) * (int.from_bytes(z, "big") + x % N * d) % N
-        sig = sign(d, z, nonce_source=FixedNonce([k]))
+        sig = sign(d, z, nonce_source=oracle.FixedNonce([k]))
         assert sig.y_parity == (y & 1) ^ (s_raw > N // 2)
 
 
@@ -125,8 +125,8 @@ def test_z_larger_than_n_reduces():
     d = 99
     z_big = (N + 12345).to_bytes(32, "big")
     z_eq = (12345).to_bytes(32, "big")
-    s1 = sign(d, z_big, nonce_source=FixedNonce([55]))
-    s2 = sign(d, z_eq, nonce_source=FixedNonce([55]))
+    s1 = sign(d, z_big, nonce_source=oracle.FixedNonce([55]))
+    s2 = sign(d, z_eq, nonce_source=oracle.FixedNonce([55]))
     assert s1.r == s2.r and s1.s == s2.s
 
 
@@ -170,6 +170,10 @@ def test_verify_rejects_malformed_inputs():
     assert not verify(pub, Z1, (sig.r + N, sig.s))        # r + n
     assert not verify(pub, Z1, "garbage")                 # not a signature
     assert not verify(pub, Z1[:31], sig)                  # short digest
+    assert not verify(pub, "x" * 32, sig)                 # str digest
+    assert not verify(pub, None, sig)                     # no digest
+    assert verify(pub, bytearray(Z1), sig)                # bytearray digest
+    assert not verify((pub.x, pub.y), Z1, sig)            # bare tuple pubkey
     assert not verify(AffinePoint(0, 0, True), Z1, sig)   # infinity pubkey
     assert not verify(AffinePoint(5, 7), Z1, sig)         # point off curve
     assert not verify(public_point(d + 1), Z1, sig)       # wrong key

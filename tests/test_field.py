@@ -17,7 +17,7 @@ def test_published_constants():
     assert "%064x" % SECP256K1_N == N_HEX
     assert FIELD_P.value == SECP256K1_P
     assert ORDER_N.value == SECP256K1_N
-    assert FIELD_P.width == ORDER_N.width == 256
+    assert SECP256K1_P.bit_length() == SECP256K1_N.bit_length() == 256
 
 
 def test_add_wraparound_to_zero():
@@ -56,13 +56,11 @@ def test_modulus_validation():
     with pytest.raises(ValueError):
         Modulus(2)
     with pytest.raises(ValueError):
-        Modulus(9, width=2)
-    with pytest.raises(ValueError):
         Modulus(8)  # even
 
 
 def test_multiplier_iteration_count_fixed():
-    """The shift-and-add loop runs exactly `width` times for any operands."""
+    """The shift-and-add loop runs once per modulus bit for any operands."""
     patterns = [0, 1, 2, FIELD_P.value - 1, (1 << 256) % FIELD_P.value,
                 int("10" * 32, 16), int("01" * 32, 16)]
     rng = random.Random(7)
@@ -74,11 +72,12 @@ def test_multiplier_iteration_count_fixed():
                 ORDER_N.mul(a % ORDER_N.value, b % ORDER_N.value)
     assert counts and all(c == 256 for c in counts)
 
-    small = Modulus(103, width=8)
-    with count_mul_iterations() as counts:
-        for a in (0, 1, 50, 102):
-            small.mul(a, 102 - a)
-    assert counts == [8, 8, 8, 8]
+    for value, steps in ((7, 3), (101, 7), (103, 7)):
+        small = Modulus(value)
+        with count_mul_iterations() as counts:
+            for a in (0, 1, value // 2, value - 1):
+                assert small.mul(a, value - 1 - a) == a * (value - 1 - a) % value
+        assert counts == [steps] * 4
 
 
 def test_inv_trivial():
@@ -86,7 +85,7 @@ def test_inv_trivial():
 
 
 def test_inv_three_mod_seven():
-    m7 = Modulus(7, width=8)
+    m7 = Modulus(7)
     assert m7.inv(3) == 5  # 3*5 = 15 = 1 (mod 7)
 
 
@@ -114,6 +113,6 @@ def test_inv_times_value_is_one_property():
 
 def test_binary_inversion_exhaustive_mod_101():
     """Binary inversion equals extended-Euclid inversion for every z."""
-    m = Modulus(101, width=8)
+    m = Modulus(101)
     for z in range(1, 101):
         assert m.inv(z) == pow(z, -1, 101)

@@ -53,25 +53,29 @@ def test_three_accounts_distinct():
 def test_select_matches_list_rows():
     store = _store()
     store.generate(3)
-    rows = store.export_records()
-    for i, row in enumerate(rows):
-        assert row == store.account(i).public_record()
-        assert row.split() == [str(i), store.account(i).public_key.hex(),
-                               store.account(i).address]
+    for i, account in enumerate(store.accounts):
+        assert store.account(i) is account
+        assert account.record() == {"index": i,
+                                    "public_key": account.public_key.hex(),
+                                    "address": account.address}
 
 
 def test_export_omits_private_keys_by_default():
     store = _store()
     store.generate(2)
-    for account, row in zip(store.accounts, store.export_records()):
-        assert account.private_key.hex() not in row
+    for account in store.accounts:
+        record = account.record()
+        assert "private_key" not in record
+        assert account.private_key.hex() not in record.values()
 
 
 def test_export_private_override():
     store = _store()
     store.generate(1)
-    rows = store.export_records(include_private=True)
-    assert store.accounts[0].private_key.hex() in rows[0]
+    account = store.accounts[0]
+    record = account.record(include_private=True)
+    assert list(record) == ["index", "public_key", "address", "private_key"]
+    assert record["private_key"] == account.private_key.hex()
 
 
 def test_regeneration_is_deterministic():

@@ -16,7 +16,7 @@ from ethcold.trace import (record_ladder_trace, trace_mse, TraceRecorder,
 import vectors
 
 SC = vectors.SMALL_CURVE
-SMALL = CurveParams(p=Modulus(SC["p"], width=8), n=Modulus(SC["order"], width=8),
+SMALL = CurveParams(p=Modulus(SC["p"]), n=Modulus(SC["order"]),
                     b=SC["b"], gx=SC["gx"], gy=SC["gy"])
 
 
