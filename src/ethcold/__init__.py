@@ -2,8 +2,8 @@
 
 Entropy -> mnemonic -> seed -> BIP-44 child keys -> secp256k1 public keys
 -> EIP-55 addresses -> ECDSA signatures. Every k*G the wallet computes
-runs on a fixed-base comb, and a balanced Montgomery ladder is the
-variable-base reference; both use complete addition formulas. An
+runs on a fixed-base comb, and a balanced Montgomery ladder computes the
+same k*G as its reference; both use complete addition formulas. An
 operation-trace harness checks that their execution does not depend on
 the key.
 """

@@ -14,10 +14,11 @@ Two scalar multiplications run on that schedule:
   window (37 on secp256k1, 518 multiplies), then one inversion and 2
   multiplies, 520 in all. Each table entry is one packed int, and the
   table is built with one shared inversion per digit step.
-- A fixed-length Montgomery ladder is the variable-base reference: every
-  iteration performs one addition and two doublings, the second doubling
-  landing in a temporary register so both key-bit branches exercise the
-  same operation set. The classic two-operation ladder is kept as a
+- A fixed-length Montgomery ladder computes the same k*G, as the comb's
+  reference and the trace harness's subject: every iteration performs
+  one addition and two doublings, the second doubling landing in a
+  temporary register so both key-bit branches exercise the same
+  operation set. The classic two-operation ladder is kept as a
   side-channel baseline.
 
 Both ladders are data: HARDENED_SCHEDULE and CLASSIC_SCHEDULE hold, for

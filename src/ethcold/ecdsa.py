@@ -82,7 +82,7 @@ def rfc6979_nonce(d: int, z: bytes) -> int:
 def _check_key_and_digest(d: int, z: bytes):
     if not 1 <= d < _N:
         raise InvalidKeyError("private key must be in [1, n-1]")
-    if len(z) != 32:
+    if not isinstance(z, (bytes, bytearray)) or len(z) != 32:
         raise ValidationError("digest must be exactly 32 bytes")
 
 

@@ -9,14 +9,15 @@ Reduction after every step is a single conditional subtract, so values
 never grow past one extra bit. The loop keeps no step counter of its own:
 ``count_mul_iterations`` records the length of the bit string the loop
 walks, which is its exact trip count. A wallet k*G (the fixed-base comb)
-costs 520 such multiplies, the variable-base ladder 10,726.
+costs 520 such multiplies, the balanced ladder's k*G 10,726.
 
 ``NativeModulus`` multiplies natively instead, off the modeled datapath,
 for signature verification on public values only.
 
 Inversion is the binary extended-Euclid method: only shifts, compares and
 subtractions. Its trip count IS data-dependent; the wallet runs it once per
-scalar multiplication, after the comb or the ladder, never per key bit.
+scalar multiplication, after the comb or the ladder, and once per signature
+for k^-1 mod n, never per key bit.
 """
 
 # SEC2 secp256k1 parameters: field prime and group order.

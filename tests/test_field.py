@@ -41,17 +41,6 @@ def test_mul_identity_and_zero():
     assert FIELD_P.mul(a, 0) == 0
 
 
-def test_random_ops_against_arbitrary_precision_oracle():
-    rng = random.Random(42)
-    for mod in (FIELD_P, ORDER_N):
-        m = mod.value
-        for _ in range(300):
-            a, b = rng.randrange(m), rng.randrange(m)
-            assert mod.add(a, b) == (a + b) % m
-            assert mod.sub(a, b) == (a - b) % m
-            assert mod.mul(a, b) == a * b % m
-
-
 def test_modulus_validation():
     with pytest.raises(ValueError):
         Modulus(2)

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from ethcold.bip39 import mnemonic_to_seed
-from ethcold.errors import ValidationError
+from ethcold.errors import DerivationError, ValidationError
 from ethcold.field import count_mul_iterations
+import ethcold.hd
 from ethcold.hd import derive_path, ETH_BASE_PATH, ExtendedKey, master_from_seed
 from ethcold.keystore import Keystore
 
@@ -94,6 +95,21 @@ def test_incremental_generation_continues_indices():
     store.generate(1)
     store.generate(2)
     assert [a.index for a in store.accounts] == [0, 1, 2]
+
+
+def test_generate_skips_an_underivable_index(monkeypatch):
+    real_ckd = ethcold.hd.ckd_priv
+
+    def ckd_failing_at_1(parent, index):
+        if index == 1:
+            raise DerivationError("invalid child key")
+        return real_ckd(parent, index)
+
+    monkeypatch.setattr(ethcold.hd, "ckd_priv", ckd_failing_at_1)
+    store = _store()
+    assert [a.index for a in store.generate(2)] == [0, 2]
+    assert [a.index for a in store.generate(1)] == [3]
+    assert [a.index for a in store.accounts] == [0, 2, 3]
 
 
 def test_wipe_zeroes_buffers():

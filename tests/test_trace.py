@@ -51,15 +51,6 @@ def test_bia_events_close_every_trace():
         assert all(e.op_kind == "field-mul" for e in bia)
 
 
-def test_classic_dest_sequences_differ_between_keys():
-    t1 = record_ladder_trace((1 << 254) + 1, "classic")
-    t2 = record_ladder_trace((1 << 255) - 1, "classic")
-    d1 = [e.dest_register for e in t1.events]
-    d2 = [e.dest_register for e in t2.events]
-    assert d1 != d2
-    assert t1.shape != t2.shape
-
-
 def test_hardened_shapes_equal_on_small_curve_all_scalars():
     shapes = {record_ladder_trace(k, "hardened", SMALL).shape
               for k in range(1, SC["order"])}
