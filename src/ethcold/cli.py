@@ -8,6 +8,7 @@ rejection.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -61,7 +62,10 @@ def ascii_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of this process; parse_args leaves it unchanged, so
+    consecutive main calls on a Session share it."""
     parser = argparse.ArgumentParser(
         prog="ethcold",
         description="Ethereum HD cold-wallet pipeline: mnemonics, BIP-44 "
@@ -217,7 +221,7 @@ def _cmd_trace(args, session):
                 else (args.variant,))
     report = uniformity_report(args.samples, variants=variants)
     payload = {"passed": report.passed,
-               "variants": {v: vars(s) for v, s in report.stats.items()}}
+               "variants": {v: s._asdict() for v, s in report.stats.items()}}
     _emit(args, payload, [report.to_text()])
     return EXIT_OK if report.passed else EXIT_CRYPTO
 

@@ -32,7 +32,6 @@ The identity is (0 : 1 : 0). One binary inversion at the very end maps
 """
 
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import InvalidScalarError
@@ -54,21 +53,32 @@ class AffinePoint(NamedTuple):
 IDENTITY = ProjectivePoint(0, 1, 0)
 
 
-@dataclass(frozen=True)
-class CurveParams:
-    """Short Weierstrass curve y^2 = x^3 + b over GF(p), group order n."""
-
+class _CurveFields(NamedTuple):
     p: Modulus
     n: Modulus
     b: int
     gx: int
     gy: int
-    b3: int = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "b3", 3 * self.b % self.p.value)
-        if (self.gy * self.gy - self.gx ** 3 - self.b) % self.p.value != 0:
+
+class CurveParams(_CurveFields):
+    """Short Weierstrass curve y^2 = x^3 + b over GF(p), group order n.
+
+    An immutable tuple, so equal parameters hash equal: _comb_table is
+    cached per curve.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: Modulus, n: Modulus, b: int, gx: int, gy: int):
+        if (gy * gy - gx ** 3 - b) % p.value != 0:
             raise ValueError("generator is not on the curve")
+        return super().__new__(cls, p, n, b, gx, gy)
+
+    @property
+    def b3(self) -> int:
+        """3b mod p, the constant of the complete addition."""
+        return 3 * self.b % self.p.value
 
     @property
     def generator(self) -> ProjectivePoint:

@@ -14,13 +14,13 @@ own and is independent of the modeled multiplier.
 """
 
 import os
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 # scalar_mul_ladder is not called here; it stays importable under this
 # module because the benchmark's layer probe (bench/layers.py) wraps it here.
-from .curve import (AffinePoint, IDENTITY, is_on_curve,  # noqa: F401
-                    point_add_complete, ProjectivePoint, scalar_mul_comb,
-                    scalar_mul_ladder, SECP256K1, to_affine)
+from .curve import (AffinePoint, CurveParams, IDENTITY,  # noqa: F401
+                    is_on_curve, point_add_complete, ProjectivePoint,
+                    scalar_mul_comb, scalar_mul_ladder, SECP256K1, to_affine)
 from .errors import CryptoError, InvalidKeyError, ValidationError
 from .field import NativeModulus, ORDER_N, SECP256K1_N, SECP256K1_P
 from .kdf import hmac_sha256
@@ -30,17 +30,21 @@ _N = SECP256K1_N
 _HALF_N = _N // 2
 
 
-@dataclass(frozen=True)
-class Signature:
+class _SignatureFields(NamedTuple):
     r: int
     s: int
     y_parity: int
 
-    def __post_init__(self):
-        if not 1 <= self.r < _N or not 1 <= self.s < _N:
+
+class Signature(_SignatureFields):
+    __slots__ = ()
+
+    def __new__(cls, r: int, s: int, y_parity: int):
+        if not 1 <= r < _N or not 1 <= s < _N:
             raise ValueError("signature components must be in [1, n-1]")
-        if self.y_parity not in (0, 1):
+        if y_parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
+        return super().__new__(cls, r, s, y_parity)
 
 
 class RandomNonce:
@@ -116,7 +120,7 @@ def sign(d: int, z: bytes, nonce_source=None) -> Signature:
 
 # --- verification: public values only, on secp256k1 with a native multiply ---
 
-_NATIVE = replace(SECP256K1, p=NativeModulus(SECP256K1_P))
+_NATIVE = CurveParams(NativeModulus(SECP256K1_P), *SECP256K1[1:])
 
 
 def verify(pub: AffinePoint, z: bytes, sig) -> bool:

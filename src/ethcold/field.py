@@ -108,13 +108,12 @@ class Modulus:
     def inv(self, z: int) -> int:
         """Multiplicative inverse by the binary extended-Euclid method.
 
-        Maintains x*z = u (mod m) and y*z = v (mod m). The loop ends when
-        u hits zero, which leaves the gcd, 1, in v, so the inverse is y.
+        z is reduced mod m first. Maintains x*z = u (mod m) and
+        y*z = v (mod m). The loop ends when u hits zero, which leaves
+        gcd(z, m) in v; when that is 1, the inverse is y.
         """
-        if z == 0:
-            raise ZeroDivisionError("0 has no modular inverse")
         p = self.value
-        u, v, x, y = z, p, 1, 0
+        u, v, x, y = z % p, p, 1, 0
         while u != 0:
             while u & 1 == 0:
                 u >>= 1
@@ -128,6 +127,8 @@ class Modulus:
             else:
                 v -= u
                 y = y - x if y > x else y + p - x
+        if v != 1:
+            raise ZeroDivisionError("z shares a factor with m: no inverse")
         return y % p
 
 

@@ -19,7 +19,7 @@ node m/44'/60'/0'/0, from which each account is a single CKD.
 
 import functools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # scalar_mul_ladder is not called here; it stays importable under this
 # module because the benchmark's layer probe (bench/layers.py) wraps it here.
@@ -35,23 +35,26 @@ HARDENED = 1 << 31
 MASTER_HMAC_KEY = b"Bitcoin seed"
 
 
-@dataclass(frozen=True)
-class ExtendedKey:
-    """A private key and chain code; ``point`` is key*G, computed once."""
-
+class _KeyFields(NamedTuple):
     key: int
     chain_code: bytes
 
-    def __post_init__(self):
-        if not 1 <= self.key < SECP256K1_N:
+
+class ExtendedKey(_KeyFields):
+    """A private key and chain code; ``point`` is key*G, computed once."""
+
+    def __new__(cls, key: int, chain_code: bytes):
+        if not 1 <= key < SECP256K1_N:
             raise InvalidKeyError("private key outside [1, n-1]")
-        if len(self.chain_code) != 32:
+        if len(chain_code) != 32:
             raise ValueError("chain code must be 32 bytes")
+        return super().__new__(cls, key, chain_code)
 
     @functools.cached_property
     def point(self) -> AffinePoint:
-        # cached_property writes the instance __dict__, which a frozen
-        # dataclass allows; field-based __eq__/__hash__ ignore it.
+        # cached_property writes the instance __dict__, which this class
+        # has because it declares no __slots__; tuple __eq__/__hash__
+        # compare the fields only.
         return public_point(self.key)
 
 

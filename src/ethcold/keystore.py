@@ -10,7 +10,7 @@ override. Private key bytes are held in a bytearray so wipe() can zero
 them in place, best effort.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .address import pubkey_to_address, to_checksum_address
 from .errors import DerivationError, ValidationError
@@ -21,8 +21,7 @@ from .hd import (derive_path, ETH_BASE_PATH, ExtendedKey, HARDENED,  # noqa: F40
 from .u256 import to_bytes32
 
 
-@dataclass
-class Account:
+class Account(NamedTuple):
     index: int
     private_key: bytearray
     public_key: bytes

@@ -6,7 +6,6 @@ encoding, the curve (both the ladder and the comb), and deterministic
 nonces. The full suite lives in the package's tests.
 """
 
-from dataclasses import astuple
 from hashlib import sha256, sha512
 
 from .address import pubkey_to_address, to_checksum_address
@@ -84,7 +83,7 @@ def _checks():
            "8f8a276c19f4149656b280621e358cce24f5f52542772691ee69063b74f15d15")
     # the CLI's sign --deterministic route: RFC 6979 nonce, comb, low-s
     yield ("rfc6979 signature d=1 \"sample\"",
-           lambda: "%064x %064x %d" % astuple(
+           lambda: "%064x %064x %d" % tuple(
                sign(1, sha256(b"sample").digest(),
                     nonce_source=Rfc6979Nonce())),
            "58db657bcd631038bea07b4941172f0167aca98f12b55e3176bd1c35435d6501 "

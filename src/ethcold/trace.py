@@ -19,7 +19,6 @@ the classic baseline's traces).
 
 import os
 import random
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import curve as _curve
@@ -116,8 +115,7 @@ def trace_mse(t1: TraceRecorder, t2: TraceRecorder,
     return sum((a - b) ** 2 for a, b in zip(s1, s2)) / len(s1)
 
 
-@dataclass
-class VariantStats:
+class VariantStats(NamedTuple):
     variant: str
     samples: int
     shapes_equal: bool
@@ -128,10 +126,9 @@ class VariantStats:
     mse_op_register_max: float
 
 
-@dataclass
-class UniformityReport:
+class UniformityReport(NamedTuple):
     sample_count: int
-    stats: dict = field(default_factory=dict)
+    stats: dict  # variant name -> VariantStats
 
     @property
     def passed(self) -> bool:
@@ -165,7 +162,7 @@ def uniformity_report(sample_count: int, variants=("hardened", "classic"),
         rng = random.Random(int.from_bytes(os.urandom(16), "big"))
     n = curve.n.value
     scalars = [rng.randrange(1, n) for _ in range(sample_count)]
-    report = UniformityReport(sample_count)
+    stats = {}
     for variant in variants:
         traces = [record_ladder_trace(k, variant, curve) for k in scalars]
         shapes = {t.shape for t in traces}
@@ -173,7 +170,7 @@ def uniformity_report(sample_count: int, variants=("hardened", "classic"),
         mse_oc = [trace_mse(base, t, "op-count") for t in traces[1:]]
         mse_hw = [trace_mse(base, t, "hamming-weight") for t in traces[1:]]
         mse_or = [trace_mse(base, t, "op-register") for t in traces[1:]]
-        report.stats[variant] = VariantStats(
+        stats[variant] = VariantStats(
             variant=variant,
             samples=sample_count,
             shapes_equal=len(shapes) == 1,
@@ -183,4 +180,4 @@ def uniformity_report(sample_count: int, variants=("hardened", "classic"),
             mse_hamming_max=max(mse_hw),
             mse_op_register_max=max(mse_or),
         )
-    return report
+    return UniformityReport(sample_count, stats)

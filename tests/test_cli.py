@@ -246,6 +246,20 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
 
 
+def test_usage_error_leaves_the_session_parser_intact(capsys):
+    """main builds its parser once per process; a command rejected by it
+    must not change how the next command on the same Session parses."""
+    argv = ["--json", "sign", "--mnemonic", V12["mnemonic"], "--index", "1",
+            "--digest", "cd" * 32, "--deterministic"]
+    session = Session()
+    code, _, _ = run(capsys, ["sign", "--index", "x", "--digest", "00"],
+                     session)
+    assert code == 2
+    code, out, _ = run(capsys, argv, session)
+    assert code == 0
+    assert (code, out) == run(capsys, argv, Session())[:2]
+
+
 def test_init_random_word_count(capsys):
     for words, count in ((12, 12), (24, 24)):
         code, out, _ = run(capsys, ["init", "--random", "--words", str(words)])
@@ -362,12 +376,31 @@ def test_session_and_no_session_give_the_same_exit_code(capsys):
         assert alone == with_session, argv
 
 
-def test_list_as_a_process(tmp_path):
-    """One `python -m ethcold.cli` run per argv, as a user types it."""
+def _process_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(pathlib.Path(ethcold.__file__).parents[1]),
                     env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_skips_dataclasses_and_inspect(tmp_path):
+    """A fresh process pays for every module the CLI imports; dataclasses
+    pulls in inspect, ast, dis and tokenize, and the wallet needs none of
+    them. -S leaves out the modules site imports."""
+    code = ("import ethcold.cli, sys; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
+                          env=_process_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_list_as_a_process(tmp_path):
+    """One `python -m ethcold.cli` run per argv, as a user types it."""
+    env = _process_env()
     argv = [sys.executable, "-m", "ethcold.cli", "--json", "list",
             "--mnemonic", V12["mnemonic"]]
     proc = subprocess.run(argv + ["--count", "1"], cwd=tmp_path, env=env,

@@ -92,6 +92,21 @@ def test_inv_zero_rejected():
         ORDER_N.inv(0)
 
 
+def test_inv_reduces_its_input_first():
+    """A z that shares a factor with m has no inverse; any other z inverts
+    as z mod m. (The non-units come first: an unreduced negative z never
+    ends the loop.)"""
+    p, n = FIELD_P.value, ORDER_N.value
+    with pytest.raises(ZeroDivisionError):
+        FIELD_P.inv(p)
+    with pytest.raises(ZeroDivisionError):
+        ORDER_N.inv(2 * n)
+    with pytest.raises(ZeroDivisionError):
+        Modulus(111).inv(3)  # 111 = 3 * 37, the order of a test curve
+    assert FIELD_P.inv(-3) == pow(-3, -1, p)
+    assert ORDER_N.inv(n + 2) == pow(2, -1, n)
+
+
 def test_inv_times_value_is_one_property():
     rng = random.Random(99)
     for mod in (FIELD_P, ORDER_N):
