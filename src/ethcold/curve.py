@@ -190,12 +190,14 @@ def _normalize_scalar(k: int, curve: CurveParams) -> str:
 
 
 def _finish(r0: ProjectivePoint, curve: CurveParams, recorder,
-            iteration: int) -> AffinePoint:
-    """The BIA tail of every scalar multiply: R0 to affine, two events."""
+            iteration: int, baseline=None) -> AffinePoint:
+    """The BIA tail of every scalar multiply: R0 to affine, two events
+    on each recorder given."""
     result = to_affine(r0, curve)
-    if recorder is not None:
-        recorder.record(iteration, "BIA", "field-mul", "R0", result.x.bit_count())
-        recorder.record(iteration, "BIA", "field-mul", "R0", result.y.bit_count())
+    for rec in (recorder, baseline):
+        if rec is not None:
+            rec.record(iteration, "BIA", "field-mul", "R0", result.x.bit_count())
+            rec.record(iteration, "BIA", "field-mul", "R0", result.y.bit_count())
     return result
 
 
@@ -227,13 +229,18 @@ CLASSIC_SCHEDULE = (
 )
 
 
-def _ladder(k: int, curve: CurveParams, recorder,
-            schedule: tuple) -> AffinePoint:
+def _ladder(k: int, curve: CurveParams, recorder, schedule: tuple,
+            baseline=None) -> AffinePoint:
     """k*G by running one schedule row per key bit below the top one.
 
     The top bit is absorbed by the initialisation, which always computes
     2G (complete formulas make the identity a safe ladder operand when
     the bit is 0), so every accepted scalar runs scalar_bits-1 rows.
+
+    A ``baseline`` recorder, given with HARDENED_SCHEDULE, takes the
+    classic ladder's trace of the same scalar: each CLASSIC_SCHEDULE row
+    is the hardened row without its dummy write into Rt, so after a row
+    R0 and R1 hold exactly the values the classic row writes.
     """
     bits = _normalize_scalar(k, curve)
     g = curve.generator
@@ -244,11 +251,14 @@ def _ladder(k: int, curve: CurveParams, recorder,
             regs[dst] = point_add_complete(regs[a], regs[b], curve)
             if recorder is not None:
                 recorder.record(i, slot, op_kind, port, _point_weight(regs[dst]))
-    return _finish(regs[R0], curve, recorder, curve.scalar_bits - 1)
+        if baseline is not None:
+            for slot, op_kind, _a, _b, dst, port in CLASSIC_SCHEDULE[int(bit)]:
+                baseline.record(i, slot, op_kind, port, _point_weight(regs[dst]))
+    return _finish(regs[R0], curve, recorder, curve.scalar_bits - 1, baseline)
 
 
 def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
-                      recorder=None) -> AffinePoint:
+                      recorder=None, baseline=None) -> AffinePoint:
     """k*G by the balanced Montgomery ladder with a temporary register.
 
     The scalar is processed at fixed length: the top bit is absorbed by
@@ -259,8 +269,11 @@ def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
     both branches' operation sets identical. Trace events carry the
     architectural write ports (PA0 -> R0, PA1 -> R1, second pass -> Rt);
     the key bit only steers internal multiplexers.
+
+    A ``baseline`` recorder receives, from this same run, the events that
+    scalar_mul_classic would record for k.
     """
-    return _ladder(k, curve, recorder, HARDENED_SCHEDULE)
+    return _ladder(k, curve, recorder, HARDENED_SCHEDULE, baseline)
 
 
 def scalar_mul_classic(k: int, curve: CurveParams = SECP256K1,

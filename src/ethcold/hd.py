@@ -50,6 +50,11 @@ class ExtendedKey(_KeyFields):
             raise ValueError("chain code must be 32 bytes")
         return super().__new__(cls, key, chain_code)
 
+    def __repr__(self):
+        # a logged or asserted node must not write out its key; with the
+        # chain code, one normal child's key gives the parent's key too
+        return "ExtendedKey(key=<hidden>, chain_code=<hidden>)"
+
     @functools.cached_property
     def point(self) -> AffinePoint:
         # cached_property writes the instance __dict__, which this class

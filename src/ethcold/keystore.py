@@ -27,6 +27,11 @@ class Account(NamedTuple):
     public_key: bytes
     address: str
 
+    def __repr__(self):
+        # a logged or asserted account must not write out its key
+        return "Account(index=%r, private_key=<hidden>, public_key=%r, " \
+               "address=%r)" % (self.index, self.public_key, self.address)
+
     @property
     def key_int(self) -> int:
         return int.from_bytes(self.private_key, "big")

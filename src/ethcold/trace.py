@@ -9,7 +9,10 @@ of the curve module's schedule table that the key bit selects. The shape
 of a trace is the event sequence with weights erased; for the balanced
 ladder and the comb it depends only on the fixed scalar width, never on
 key bits, which is the testable core of the design's leakage claim. The
-classic ladder's shape follows the key and serves as the baseline.
+classic ladder's shape follows the key and serves as the baseline. Each
+classic row is the balanced row without its dummy write, so a report
+over both ladders runs one balanced ladder per scalar and records both
+variants' traces from that run.
 
 Traces can be compared with a synthetic-power MSE under three sample
 models: op-count (1.0 per event), hamming-weight (weight/256), and
@@ -155,16 +158,36 @@ class UniformityReport(NamedTuple):
 def uniformity_report(sample_count: int, variants=("hardened", "classic"),
                       curve=_curve.SECP256K1,
                       rng: Optional[random.Random] = None) -> UniformityReport:
-    """Draw random scalars and compare the trace shapes per variant."""
+    """Draw random scalars and compare the trace shapes per variant.
+
+    When both "hardened" and "classic" are asked for, one balanced ladder
+    per scalar records both traces: each classic row is the hardened row
+    without its dummy write, so scalar_mul_ladder's ``baseline`` recorder
+    takes the classic trace from the same run at no extra multiply.
+    """
     if sample_count < 2:
         raise ValueError("need at least 2 samples to compare traces")
+    if not variants or not set(variants) <= _VARIANTS.keys():
+        raise ValueError("variants must name one or more of 'hardened', "
+                         "'classic' and 'comb'")
     if rng is None:
         rng = random.Random(int.from_bytes(os.urandom(16), "big"))
     n = curve.n.value
     scalars = [rng.randrange(1, n) for _ in range(sample_count)]
+    recorded = {variant: [] for variant in variants}
+    both = {"hardened", "classic"} <= recorded.keys()
+    for k in scalars:
+        shared = {}
+        if both:
+            shared = {"hardened": TraceRecorder(), "classic": TraceRecorder()}
+            # looked up at call time, as in record_ladder_trace
+            _curve.scalar_mul_ladder(k, curve, recorder=shared["hardened"],
+                                     baseline=shared["classic"])
+        for variant, traces in recorded.items():
+            traces.append(shared[variant] if variant in shared
+                          else record_ladder_trace(k, variant, curve))
     stats = {}
-    for variant in variants:
-        traces = [record_ladder_trace(k, variant, curve) for k in scalars]
+    for variant, traces in recorded.items():
         shapes = {t.shape for t in traces}
         base = traces[0]
         mse_oc = [trace_mse(base, t, "op-count") for t in traces[1:]]

@@ -234,3 +234,23 @@ def test_no_account_node_outlives_its_derivation():
     leaked = [obj for obj in gc.get_objects()
               if isinstance(obj, ExtendedKey) and obj.key in keys]
     assert leaked == []
+
+
+def _key_forms(key: int) -> list:
+    return ["%d" % key, "%x" % key, "%064x" % key]
+
+
+def test_repr_and_str_leave_the_key_out():
+    store = _store()
+    (account,) = store.generate(1)
+    master = store.master
+    derived = derive_path(master, ETH_BASE_PATH)
+    for obj, key in ((master, master.key), (derived, derived.key),
+                     (account, account.key_int)):
+        for text in (repr(obj), str(obj)):
+            assert not any(form in text for form in _key_forms(key)), text
+    assert repr(account).startswith("Account(index=0, ")
+    assert account.address in repr(account)
+    # the fields themselves are untouched
+    assert account._asdict()["private_key"] == account.private_key
+    assert tuple(derived) == (derived.key, derived.chain_code)

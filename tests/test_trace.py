@@ -7,6 +7,7 @@ import pytest
 
 from ethcold.curve import (CLASSIC_SCHEDULE, CurveParams, HARDENED_SCHEDULE,
                            IDENTITY, point_add_complete, ProjectivePoint,
+                           RT, scalar_mul_classic, scalar_mul_ladder,
                            SECP256K1)
 from ethcold.errors import InvalidScalarError
 from ethcold.field import count_mul_iterations, Modulus, SECP256K1_P
@@ -187,6 +188,16 @@ def test_uniformity_report_requires_two_samples():
         uniformity_report(1)
 
 
+@pytest.mark.parametrize("variants", [("hardened", "bogus"), ()])
+def test_uniformity_report_checks_variants_before_any_ladder(variants):
+    rng = random.Random(4)
+    with count_mul_iterations() as counts:
+        with pytest.raises(ValueError):
+            uniformity_report(2, variants=variants, curve=SMALL, rng=rng)
+    assert counts == []
+    assert rng.getstate() == random.Random(4).getstate()
+
+
 def test_export_lines_format():
     trace = record_ladder_trace(9, "hardened", SMALL)
     lines = list(trace.export_lines())
@@ -199,9 +210,54 @@ def test_export_lines_format():
     assert first[4].isdigit()
 
 
+# --- one balanced run records both ladders ---
+
+def test_classic_rows_are_hardened_rows_without_the_dummy():
+    for bit in (0, 1):
+        hardened = [(op, a, b, dst)
+                    for _slot, op, a, b, dst, _port in HARDENED_SCHEDULE[bit]]
+        classic = [(op, a, b, dst)
+                   for _slot, op, a, b, dst, _port in CLASSIC_SCHEDULE[bit]]
+        dummy = hardened[-1]
+        assert dummy[3] == RT
+        assert classic == hardened[:-1]
+
+
+def test_shared_run_records_both_standalone_traces():
+    for k in range(1, SC["order"]):
+        hardened, classic = TraceRecorder(), TraceRecorder()
+        point = scalar_mul_ladder(k, SMALL, recorder=hardened,
+                                  baseline=classic)
+        assert point == scalar_mul_ladder(k, SMALL) == \
+            scalar_mul_classic(k, SMALL)
+        assert hardened.events == record_ladder_trace(k, "hardened",
+                                                      SMALL).events
+        assert classic.events == record_ladder_trace(k, "classic",
+                                                     SMALL).events
+
+
+@pytest.mark.parametrize("samples", [2, 5])
+def test_report_on_both_ladders_runs_one_ladder_per_scalar(samples):
+    with count_mul_iterations() as one:
+        scalar_mul_ladder(1, SMALL)
+    assert len(one) == 268
+    with count_mul_iterations() as counts:
+        uniformity_report(samples, curve=SMALL, rng=random.Random(samples))
+    assert len(counts) == samples * 268
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_both_ladder_report_matches_single_variant_reports(seed):
+    both = uniformity_report(6, curve=SMALL, rng=random.Random(seed))
+    assert list(both.stats) == ["hardened", "classic"]
+    for variant, stats in both.stats.items():
+        alone = uniformity_report(6, variants=(variant,), curve=SMALL,
+                                  rng=random.Random(seed))
+        assert alone.stats[variant] == stats
+
+
 def test_recorder_single_ownership_contract():
     rec = TraceRecorder()
-    from ethcold.curve import scalar_mul_ladder
     scalar_mul_ladder(5, SMALL, recorder=rec)
     n = len(rec.events)
     scalar_mul_ladder(6, SMALL, recorder=rec)
