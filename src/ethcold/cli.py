@@ -31,9 +31,10 @@ EXIT_CRYPTO = 4
 # minute of combs. A larger --count exits 3 before any derivation.
 MAX_COUNT = 1000
 
-# The most scalars one trace command may ask for: about 50 s with both
-# ladders (47 s on a 2-vCPU x86-64 box, Python 3.11). A larger --samples
-# exits 3 before any scalar is drawn.
+# The most scalars one trace command may ask for: one balanced ladder per
+# scalar whatever the variant, about a minute (0.6 s a scalar on a 2-vCPU
+# x86-64 box, Python 3.11). A larger --samples exits 3 before any scalar
+# is drawn.
 MAX_SAMPLES = 100
 
 
@@ -81,7 +82,7 @@ def _build_parser():
     src.add_argument("--entropy-hex", help="entropy as hex (16/20/24/28/32 bytes)")
     src.add_argument("--random", action="store_true",
                      help="draw entropy from OS randomness")
-    p.add_argument("--words", type=ascii_int, choices=(12, 24), default=24,
+    p.add_argument("--words", type=ascii_int, choices=(12, 24), default=None,
                    help="mnemonic length for --random (default 24)")
     p.add_argument("--passphrase", default="")
 
@@ -147,6 +148,10 @@ def _wallet_for(args, session):
 
 def _cmd_init(args, session):
     if args.entropy_hex is not None:
+        if args.words is not None:
+            print("--words applies to --random only; --entropy-hex sets "
+                  "the mnemonic length", file=sys.stderr)
+            return EXIT_USAGE
         entropy = parse_hex_bytes(args.entropy_hex)
     else:
         entropy = os.urandom(16 if args.words == 12 else 32)

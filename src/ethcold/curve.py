@@ -18,14 +18,15 @@ Two scalar multiplications run on that schedule:
   reference and the trace harness's subject: every iteration performs
   one addition and two doublings, the second doubling landing in a
   temporary register so both key-bit branches exercise the same
-  operation set. The classic two-operation ladder is kept as a
-  side-channel baseline.
+  operation set. The classic two-operation ladder, the side-channel
+  baseline, is a view of that run: its trace goes to a second recorder.
 
 Both ladders are data: HARDENED_SCHEDULE and CLASSIC_SCHEDULE hold, for
 each key bit, the row of register operations and trace ports of one
-iteration, and one driver runs either table. Key independence of the
-balanced ladder is then a static fact: its two rows differ only in
-register indices, never in slot, operation or port.
+iteration. Only the balanced table runs; the classic table names the
+events of that run. Key independence of the balanced ladder is then a
+static fact: its two rows differ only in register indices, never in
+slot, operation or port.
 
 The identity is (0 : 1 : 0). One binary inversion at the very end maps
 (X : Y : Z) to affine (X/Z, Y/Z).
@@ -219,8 +220,8 @@ HARDENED_SCHEDULE = (
      ("PA0", "point-double", R0, R0, RT, "Rt")),
 )
 
-# Classic ladder: each event names the register it writes, so the port
-# sequence follows the key bits.
+# Classic ladder, the baseline recorder's event table: each event names
+# the register it writes, so the port sequence follows the key bits.
 CLASSIC_SCHEDULE = (
     (("PA0", "point-add", R0, R1, R1, "R1"),
      ("PA0", "point-double", R0, R0, R0, "R0")),
@@ -229,25 +230,31 @@ CLASSIC_SCHEDULE = (
 )
 
 
-def _ladder(k: int, curve: CurveParams, recorder, schedule: tuple,
-            baseline=None) -> AffinePoint:
-    """k*G by running one schedule row per key bit below the top one.
+def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
+                      recorder=None, baseline=None) -> AffinePoint:
+    """k*G by the balanced Montgomery ladder with a temporary register.
 
-    The top bit is absorbed by the initialisation, which always computes
-    2G (complete formulas make the identity a safe ladder operand when
-    the bit is 0), so every accepted scalar runs scalar_bits-1 rows.
+    The scalar is processed at fixed length: the top bit is absorbed by
+    the initialisation, which always computes 2G (complete formulas make
+    the identity a safe ladder operand when it is 0), and the loop always
+    runs one HARDENED_SCHEDULE row for each of the scalar_bits-1 bits
+    below it. Each row performs one point addition and two point
+    doublings; the second doubling is the dummy write into Rt that keeps
+    both branches' operation sets identical. Trace events carry the
+    architectural write ports (PA0 -> R0, PA1 -> R1, second pass -> Rt);
+    the key bit only steers internal multiplexers.
 
-    A ``baseline`` recorder, given with HARDENED_SCHEDULE, takes the
-    classic ladder's trace of the same scalar: each CLASSIC_SCHEDULE row
-    is the hardened row without its dummy write into Rt, so after a row
-    R0 and R1 hold exactly the values the classic row writes.
+    A ``baseline`` recorder takes the classic ladder's trace of k from
+    this same run: each CLASSIC_SCHEDULE row is the hardened row without
+    its dummy write into Rt, so after a row R0 and R1 hold exactly the
+    values the classic row writes.
     """
     bits = _normalize_scalar(k, curve)
     g = curve.generator
     g2 = point_add_complete(g, g, curve)
     regs = [g, g2, IDENTITY] if bits[0] == "1" else [IDENTITY, g, IDENTITY]
     for i, bit in enumerate(bits[1:]):
-        for slot, op_kind, a, b, dst, port in schedule[int(bit)]:
+        for slot, op_kind, a, b, dst, port in HARDENED_SCHEDULE[int(bit)]:
             regs[dst] = point_add_complete(regs[a], regs[b], curve)
             if recorder is not None:
                 recorder.record(i, slot, op_kind, port, _point_weight(regs[dst]))
@@ -257,34 +264,13 @@ def _ladder(k: int, curve: CurveParams, recorder, schedule: tuple,
     return _finish(regs[R0], curve, recorder, curve.scalar_bits - 1, baseline)
 
 
-def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
-                      recorder=None, baseline=None) -> AffinePoint:
-    """k*G by the balanced Montgomery ladder with a temporary register.
-
-    The scalar is processed at fixed length: the top bit is absorbed by
-    the initialisation (complete formulas make the identity a safe ladder
-    operand when it is 0) and the loop always runs scalar_bits-1
-    iterations. Each iteration performs one point addition and two point
-    doublings; the second doubling is the dummy write into Rt that keeps
-    both branches' operation sets identical. Trace events carry the
-    architectural write ports (PA0 -> R0, PA1 -> R1, second pass -> Rt);
-    the key bit only steers internal multiplexers.
-
-    A ``baseline`` recorder receives, from this same run, the events that
-    scalar_mul_classic would record for k.
-    """
-    return _ladder(k, curve, recorder, HARDENED_SCHEDULE, baseline)
-
-
 def scalar_mul_classic(k: int, curve: CurveParams = SECP256K1,
                        recorder=None) -> AffinePoint:
-    """The conventional two-operation ladder, kept as the leaky baseline.
-
-    Each branch adds into one register and doubles the other, so the
-    written-register sequence follows the key bits; the recorder logs the
-    writes in program order, which is exactly the leak.
-    """
-    return _ladder(k, curve, recorder, CLASSIC_SCHEDULE)
+    """k*G with the trace of the conventional two-operation ladder, the
+    leaky baseline: a view of the balanced run, whose ``baseline``
+    recorder logs the classic writes in program order. That register
+    sequence follows the key bits, which is exactly the leak."""
+    return scalar_mul_ladder(k, curve, baseline=recorder)
 
 
 COMB_WIDTH = 7  # bits per comb window

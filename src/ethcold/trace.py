@@ -10,9 +10,9 @@ of a trace is the event sequence with weights erased; for the balanced
 ladder and the comb it depends only on the fixed scalar width, never on
 key bits, which is the testable core of the design's leakage claim. The
 classic ladder's shape follows the key and serves as the baseline. Each
-classic row is the balanced row without its dummy write, so a report
-over both ladders runs one balanced ladder per scalar and records both
-variants' traces from that run.
+classic row is the balanced row without its dummy write, so every
+classic trace is recorded from a balanced run, and one balanced ladder
+per scalar gives both ladders' traces.
 
 Traces can be compared with a synthetic-power MSE under three sample
 models: op-count (1.0 per event), hamming-weight (weight/256), and
@@ -31,10 +31,7 @@ REGISTERS = ("R0", "R1", "Rt")
 
 MSE_MODELS = ("op-count", "hamming-weight", "op-register")
 
-# The curve-module function each traced variant runs.
-_VARIANTS = {"hardened": "scalar_mul_ladder",
-             "classic": "scalar_mul_classic",
-             "comb": "scalar_mul_comb"}
+_VARIANTS = frozenset(("hardened", "classic", "comb"))
 
 
 class TraceEvent(NamedTuple):
@@ -75,18 +72,29 @@ class TraceRecorder:
                                       e.dest_register, e.weight)
 
 
+def _record(k: int, variants, curve) -> dict:
+    """One trace of k per variant: one balanced ladder records the
+    hardened trace and the classic baseline, whichever of the two are
+    asked for, and the comb runs if it is.
+
+    The multiplies are looked up on the curve module at call time, so a
+    wrapper installed there sees every traced run.
+    """
+    recs = {variant: TraceRecorder() for variant in variants}
+    if "hardened" in recs or "classic" in recs:
+        _curve.scalar_mul_ladder(k, curve, recorder=recs.get("hardened"),
+                                 baseline=recs.get("classic"))
+    if "comb" in recs:
+        _curve.scalar_mul_comb(k, curve, recorder=recs["comb"])
+    return recs
+
+
 def record_ladder_trace(k: int, variant: str = "hardened",
                         curve=_curve.SECP256K1) -> TraceRecorder:
-    """Run one scalar multiplication of `variant` with a recorder attached.
-
-    The function is looked up on the curve module at call time, so a
-    wrapper installed there sees every traced multiply.
-    """
+    """The trace of one scalar multiplication of `variant`."""
     if variant not in _VARIANTS:
         raise ValueError("variant must be 'hardened', 'classic' or 'comb'")
-    rec = TraceRecorder()
-    getattr(_curve, _VARIANTS[variant])(k, curve, recorder=rec)
-    return rec
+    return _record(k, (variant,), curve)[variant]
 
 
 def _samples(trace: TraceRecorder, model: str):
@@ -160,34 +168,22 @@ def uniformity_report(sample_count: int, variants=("hardened", "classic"),
                       rng: Optional[random.Random] = None) -> UniformityReport:
     """Draw random scalars and compare the trace shapes per variant.
 
-    When both "hardened" and "classic" are asked for, one balanced ladder
-    per scalar records both traces: each classic row is the hardened row
-    without its dummy write, so scalar_mul_ladder's ``baseline`` recorder
-    takes the classic trace from the same run at no extra multiply.
+    Each scalar runs at most one ladder, whatever ladder variants are
+    asked for (see _record).
     """
     if sample_count < 2:
         raise ValueError("need at least 2 samples to compare traces")
-    if not variants or not set(variants) <= _VARIANTS.keys():
+    if not variants or not set(variants) <= _VARIANTS:
         raise ValueError("variants must name one or more of 'hardened', "
                          "'classic' and 'comb'")
     if rng is None:
         rng = random.Random(int.from_bytes(os.urandom(16), "big"))
     n = curve.n.value
     scalars = [rng.randrange(1, n) for _ in range(sample_count)]
-    recorded = {variant: [] for variant in variants}
-    both = {"hardened", "classic"} <= recorded.keys()
-    for k in scalars:
-        shared = {}
-        if both:
-            shared = {"hardened": TraceRecorder(), "classic": TraceRecorder()}
-            # looked up at call time, as in record_ladder_trace
-            _curve.scalar_mul_ladder(k, curve, recorder=shared["hardened"],
-                                     baseline=shared["classic"])
-        for variant, traces in recorded.items():
-            traces.append(shared[variant] if variant in shared
-                          else record_ladder_trace(k, variant, curve))
+    runs = [_record(k, variants, curve) for k in scalars]
     stats = {}
-    for variant, traces in recorded.items():
+    for variant in runs[0]:
+        traces = [run[variant] for run in runs]
         shapes = {t.shape for t in traces}
         base = traces[0]
         mse_oc = [trace_mse(base, t, "op-count") for t in traces[1:]]

@@ -267,6 +267,17 @@ def test_init_random_word_count(capsys):
         assert len(out.split(": ", 1)[1].split()) == count
 
 
+def test_init_refuses_words_with_entropy_hex(capsys):
+    """The entropy's length sets the mnemonic's, so --words next to
+    --entropy-hex is refused rather than silently ignored."""
+    for words in ("12", "24"):
+        code, out, err = run(capsys, ["init", "--entropy-hex", ZERO_ENT_HEX,
+                                      "--words", words])
+        assert code == 2
+        assert out == ""
+        assert "--words" in err
+
+
 def test_init_random_is_not_deterministic(capsys):
     _, out1, _ = run(capsys, ["init", "--random"])
     _, out2, _ = run(capsys, ["init", "--random"])

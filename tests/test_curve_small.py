@@ -3,8 +3,8 @@
 The same complete-addition schedule and ladder code run against a curve
 small enough to compare with brute force. Acceptance criterion 3 checks
 every pair against the chord-tangent oracle and the balanced ladder
-against repeated addition; this module checks the group laws, the classic
-ladder and the ladder's register invariant.
+against repeated addition; this module checks the group laws and the
+ladder's register invariant.
 """
 
 import itertools
@@ -12,7 +12,7 @@ import random
 
 from ethcold.curve import (CurveParams, HARDENED_SCHEDULE, IDENTITY,
                            point_add_complete, ProjectivePoint, R0, R1,
-                           scalar_mul_classic, scalar_mul_ladder, to_affine)
+                           scalar_mul_ladder, to_affine)
 from ethcold.field import Modulus
 from ethcold.trace import TraceRecorder
 
@@ -61,13 +61,6 @@ def test_associativity_sampled_triples():
     for _ in range(400):
         a, b, c = (rng.choice(pool) for _ in range(3))
         assert add(add(a, b), c) == add(a, add(b, c))
-
-
-def test_classic_ladder_equals_oracle_for_all_scalars():
-    g = (SC["gx"], SC["gy"])
-    for k in range(1, ORDER):
-        got = scalar_mul_classic(k, SMALL)
-        assert (got.x, got.y) == oracle.ec_mul(k, g, P, ORDER)
 
 
 def test_scalar_addition_homomorphism_exhaustive():

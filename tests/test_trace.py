@@ -234,15 +234,28 @@ def test_shared_run_records_both_standalone_traces():
                                                       SMALL).events
         assert classic.events == record_ladder_trace(k, "classic",
                                                      SMALL).events
+        alone = TraceRecorder()
+        scalar_mul_classic(k, SMALL, recorder=alone)
+        assert alone.events == classic.events
 
 
-@pytest.mark.parametrize("samples", [2, 5])
-def test_report_on_both_ladders_runs_one_ladder_per_scalar(samples):
+@pytest.mark.parametrize("samples, variants", [
+    pytest.param(2, ("hardened", "classic"), id="2"),
+    pytest.param(5, ("hardened", "classic"), id="5"),
+    pytest.param(2, ("hardened",), id="hardened-2"),
+    pytest.param(5, ("hardened",), id="hardened-5"),
+    pytest.param(2, ("classic",), id="classic-2"),
+    pytest.param(5, ("classic",), id="classic-5"),
+])
+def test_report_on_both_ladders_runs_one_ladder_per_scalar(samples, variants):
+    """Every ladder trace comes from one balanced run: a report on either
+    ladder or on both costs one balanced ladder per scalar."""
     with count_mul_iterations() as one:
         scalar_mul_ladder(1, SMALL)
     assert len(one) == 268
     with count_mul_iterations() as counts:
-        uniformity_report(samples, curve=SMALL, rng=random.Random(samples))
+        uniformity_report(samples, variants=variants, curve=SMALL,
+                          rng=random.Random(samples))
     assert len(counts) == samples * 268
 
 
