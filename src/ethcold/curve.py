@@ -72,6 +72,10 @@ class CurveParams(_CurveFields):
     __slots__ = ()
 
     def __new__(cls, p: Modulus, n: Modulus, b: int, gx: int, gy: int):
+        # the multiplier takes canonical residues only: b + p or gy - p
+        # passes the curve equation but not Modulus.mul
+        if not (0 <= b < p.value and 0 <= gx < p.value and 0 <= gy < p.value):
+            raise ValueError("b, gx and gy must be in [0, p)")
         if (gy * gy - gx ** 3 - b) % p.value != 0:
             raise ValueError("generator is not on the curve")
         return super().__new__(cls, p, n, b, gx, gy)
@@ -134,10 +138,12 @@ def point_add_complete(P: ProjectivePoint, Q: ProjectivePoint,
     y3 = msub(x3, y3)
     x3 = madd(t0, t0)
     t0 = madd(x3, t0)
-    t2 = mmul(b3, t2)
+    # the multiplier scans its second operand, so b3 goes second: b3 = 21
+    # on secp256k1 has three set bits, so 3 of its 256 steps add, not ~128
+    t2 = mmul(t2, b3)
     z3 = madd(t1, t2)
     t1 = msub(t1, t2)
-    y3 = mmul(b3, y3)
+    y3 = mmul(y3, b3)
     x3 = mmul(t4, y3)
     t2 = mmul(t3, t1)
     x3 = msub(t2, x3)

@@ -6,10 +6,14 @@ per bit of the modulus (256 for the secp256k1 moduli) no matter what the
 operands look like, so the multiplier's operation count is independent of
 its inputs.
 Reduction after every step is a single conditional subtract, so values
-never grow past one extra bit. The loop keeps no step counter of its own:
-``count_mul_iterations`` records the length of the bit string the loop
-walks, which is its exact trip count. A wallet k*G (the fixed-base comb)
-costs 520 such multiplies, the balanced ladder's k*G 10,726.
+never grow past one extra bit. The add and its reduction are one compare
+against m - a, computed once per multiply: acc + a >= m exactly when
+acc >= m - a, so the step yields acc - (m - a) or acc + a, the value
+that adding and then subtracting m would give. Same steps, same values.
+The loop keeps no step counter of its own: ``count_mul_iterations``
+records the length of the bit string the loop walks, which is its exact
+trip count. A wallet k*G (the fixed-base comb) costs 520 such
+multiplies, the balanced ladder's k*G 10,726.
 
 ``NativeModulus`` multiplies natively instead, off the modeled datapath,
 for signature verification on public values only.
@@ -23,6 +27,10 @@ for k^-1 mod n, never per key bit.
 # SEC2 secp256k1 parameters: field prime and group order.
 SECP256K1_P = 0xfffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f
 SECP256K1_N = 0xfffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141
+
+# Maps the ASCII digits of format(b, "b") to 0/1 bytes, so the multiply
+# loop tests each bit by truth value.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 # When set (a list), every multiplication appends its loop trip count.
 # Installed by tests via count_mul_iterations(); None in normal operation.
@@ -87,21 +95,28 @@ class Modulus:
     def mul(self, a: int, b: int) -> int:
         """Shift-and-add product, MSB first, reducing after every step.
 
+        Each step doubles acc and reduces it; on a 1 bit of b it then adds
+        a and reduces, as one compare: acc - (m - a) when acc >= m - a,
+        else acc + a. The loop scans b, so the cheaper operand to pass
+        second is the one with fewer set bits; the step count is the same.
+
         Inputs must already be canonical residues in [0, m).
         """
         m = self.value
+        ma = m - a
         acc = 0
-        bits = format(b, self._fmt)
+        bits = format(b, self._fmt).encode().translate(_BITS)
         for bit in bits:
             acc += acc
             if acc >= m:
                 acc -= m
-            if bit == "1":
-                acc += a
-                if acc >= m:
-                    acc -= m
+            if bit:
+                if acc >= ma:
+                    acc -= ma
+                else:
+                    acc += a
         if _mul_iteration_sink is not None:
-            # the loop runs once per character of bits, with no early exit
+            # the loop runs once per byte of bits, with no early exit
             _mul_iteration_sink.append(len(bits))
         return acc
 

@@ -135,6 +135,18 @@ def _small_curve():
                        b=sc["b"], gx=sc["gx"], gy=sc["gy"])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gy", 28),                           # off the curve
+    ("gy", 27 - 103), ("gy", 27 + 103),   # on it, but not canonical
+    ("gx", 1 + 103), ("b", 7 - 103), ("b", 7 + 103),
+])
+def test_curve_params_reject_bad_generator_or_b(field, value):
+    sc = dict(vectors.SMALL_CURVE, **{field: value})
+    with pytest.raises(ValueError):
+        CurveParams(p=Modulus(sc["p"]), n=Modulus(sc["order"]),
+                    b=sc["b"], gx=sc["gx"], gy=sc["gy"])
+
+
 def _small_curves():
     """(curve, base, windows): G of order 111, and 3G of order 37."""
     sc = vectors.SMALL_CURVE

@@ -115,6 +115,23 @@ def test_inv_times_value_is_one_property():
             assert mod.mul(a, mod.inv(a)) == 1
 
 
+@pytest.mark.parametrize("value", [7, 37, 101, 103, 105])
+def test_mul_exhaustive_small_moduli(value):
+    """Every canonical pair, a = 0 (m - a = m) and a = m - 1 (m - a = 1)
+    included, gives a*b mod m in m.bit_length() steps.
+
+    Under a prime modulus an add left at acc = m, unreduced, still ends
+    congruent; composite 105 has zero products of nonzero operands, where
+    it would end at m instead of 0.
+    """
+    m = Modulus(value)
+    with count_mul_iterations() as counts:
+        for a in range(value):
+            for b in range(value):
+                assert m.mul(a, b) == a * b % value, (a, b)
+    assert counts == [value.bit_length()] * value ** 2
+
+
 def test_binary_inversion_exhaustive_mod_101():
     """Binary inversion equals extended-Euclid inversion for every z."""
     m = Modulus(101)
