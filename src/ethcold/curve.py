@@ -36,7 +36,7 @@ import functools
 from typing import NamedTuple
 
 from .errors import InvalidScalarError
-from .field import FIELD_P, Modulus, ORDER_N
+from .field import FIELD_P, Modulus, NativeModulus, ORDER_N
 
 
 class ProjectivePoint(NamedTuple):
@@ -84,6 +84,12 @@ class CurveParams(_CurveFields):
     def b3(self) -> int:
         """3b mod p, the constant of the complete addition."""
         return 3 * self.b % self.p.value
+
+    @property
+    def native(self) -> "CurveParams":
+        """This curve with a native field multiply (field.NativeModulus),
+        off the modeled datapath: for public values only."""
+        return CurveParams(NativeModulus(self.p.value), *self[1:])
 
     @property
     def generator(self) -> ProjectivePoint:
@@ -311,20 +317,6 @@ def _signed_digits(kk: int, windows: int) -> list:
     return digits
 
 
-def _double_jacobian(pt: tuple, p: int) -> tuple:
-    """2P in Jacobian coordinates (x = X/Z^2, y = Y/Z^3) for y^2 = x^3 + b.
-
-    Only P with Y != 0 is doubled here (multiples of a generator of odd
-    order), so the result never leaves the curve's affine part.
-    """
-    x, y, z = pt
-    yy = y * y % p
-    s = 4 * x * yy % p
-    m = 3 * x * x % p
-    x3 = (m * m - 2 * s) % p
-    return (x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p)
-
-
 def _batch_inverse(values: list, p: int) -> list:
     """The inverses of non-zero values mod p with one pow (Montgomery's trick)."""
     prefix = []
@@ -381,7 +373,8 @@ def _comb_table(curve: CurveParams) -> tuple:
     as 1); the rest have Z = 1. The table holds public multiples of G
     only, so it is built once per curve, on first use, with native
     arithmetic outside the modeled datapath: the bases B_j = 2^(7j) * G
-    come from Jacobian doublings brought to affine with one shared
+    come from doublings by the package's complete addition on
+    curve.native, brought to affine as (X/Z, Y/Z) with one shared
     inversion, then each step a -> a + 1 advances the running sums
     a * B_j of all windows together, with one shared inversion per step
     (Montgomery's simultaneous inversion).
@@ -394,16 +387,15 @@ def _comb_table(curve: CurveParams) -> tuple:
     # carry from below its digit is at most 64 and the recoding of
     # _signed_digits ends with no carry out
     windows = -(-(curve.scalar_bits + 1) // COMB_WIDTH)
-    chain = [(curve.gx, curve.gy, 1)]
+    native = curve.native
+    chain = [curve.generator]
     for _ in range(windows - 1):
         pt = chain[-1]
         for _ in range(COMB_WIDTH):
-            pt = _double_jacobian(pt, p)
+            pt = point_add_complete(pt, pt, native)
         chain.append(pt)
-    bases = []
-    for (x, y, _), zi in zip(chain, _batch_inverse([pt[2] for pt in chain], p)):
-        zi2 = zi * zi % p
-        bases.append((x * zi2 % p, y * zi2 * zi % p))
+    bases = [(x * zi % p, y * zi % p) for (x, y, _), zi in
+             zip(chain, _batch_inverse([pt.z for pt in chain], p))]
     columns = [[_PACKED_IDENTITY] * windows, [_pack(b) for b in bases]]
     accs = bases
     for _ in range(_MAX_DIGIT - 1):

@@ -8,9 +8,10 @@ reproducible signatures. Candidates outside [1, n-1] and candidates
 producing r = 0 or s = 0 are discarded and the source is asked again.
 
 Verification handles public values only. It runs the package's complete
-addition and to_affine on a copy of secp256k1 whose field multiply is
-native (field.NativeModulus), so it has no point-addition formula of its
-own and is independent of the modeled multiplier.
+addition and to_affine on SECP256K1.native, the copy of secp256k1 with a
+native field multiply (field.NativeModulus) that the comb table's build
+uses too, so it has no point-addition formula of its own and is
+independent of the modeled multiplier.
 """
 
 import os
@@ -18,11 +19,11 @@ from typing import NamedTuple
 
 # scalar_mul_ladder is not called here; it stays importable under this
 # module because the benchmark's layer probe (bench/layers.py) wraps it here.
-from .curve import (AffinePoint, CurveParams, IDENTITY,  # noqa: F401
+from .curve import (AffinePoint, IDENTITY,  # noqa: F401
                     is_on_curve, point_add_complete, ProjectivePoint,
                     scalar_mul_comb, scalar_mul_ladder, SECP256K1, to_affine)
 from .errors import CryptoError, InvalidKeyError, ValidationError
-from .field import NativeModulus, ORDER_N, SECP256K1_N, SECP256K1_P
+from .field import ORDER_N, SECP256K1_N
 from .kdf import hmac_sha256
 from .u256 import to_bytes32
 
@@ -120,7 +121,7 @@ def sign(d: int, z: bytes, nonce_source=None) -> Signature:
 
 # --- verification: public values only, on secp256k1 with a native multiply ---
 
-_NATIVE = CurveParams(NativeModulus(SECP256K1_P), *SECP256K1[1:])
+_NATIVE = SECP256K1.native
 
 
 def verify(pub: AffinePoint, z: bytes, sig) -> bool:

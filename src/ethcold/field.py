@@ -16,7 +16,8 @@ trip count. A wallet k*G (the fixed-base comb) costs 520 such
 multiplies, the balanced ladder's k*G 10,726.
 
 ``NativeModulus`` multiplies natively instead, off the modeled datapath,
-for signature verification on public values only.
+on public values only: for signature verification and for doubling the
+bases of the comb table (``CurveParams.native``).
 
 Inversion is the binary extended-Euclid method: only shifts, compares and
 subtractions. Its trip count IS data-dependent; the wallet runs it once per
