@@ -25,7 +25,7 @@ from .hd import (ckd_priv, derive_path, ETH_BASE_PATH, ExtendedKey,
 from .kdf import hmac_sha256, hmac_sha512, pbkdf2_hmac_sha512
 from .keccak import keccak256
 from .keystore import Account, Keystore
-from .trace import (record_ladder_trace, trace_mse, TraceEvent,
-                    TraceRecorder, uniformity_report)
+from .trace import (record_ladder_trace, TraceEvent, TraceRecorder,
+                    uniformity_report)
 
 __version__ = "0.1.0"

@@ -21,12 +21,12 @@ Two scalar multiplications run on that schedule:
   operation set. The classic two-operation ladder, the side-channel
   baseline, is a view of that run: its trace goes to a second recorder.
 
-Both ladders are data: HARDENED_SCHEDULE and CLASSIC_SCHEDULE hold, for
-each key bit, the row of register operations and trace ports of one
-iteration. Only the balanced table runs; the classic table names the
-events of that run. Key independence of the balanced ladder is then a
-static fact: its two rows differ only in register indices, never in
-slot, operation or port.
+The ladder is data: HARDENED_SCHEDULE holds, for each key bit, the row
+of register operations and trace ports of one iteration. Key
+independence is then a static fact: the two rows differ only in
+register indices, never in slot, operation or port. A classic row is
+the same row without its dummy write into Rt, each event naming the
+register it writes.
 
 The identity is (0 : 1 : 0). One binary inversion at the very end maps
 (X : Y : Z) to affine (X/Z, Y/Z).
@@ -214,11 +214,12 @@ def _finish(r0: ProjectivePoint, curve: CurveParams, recorder,
     return result
 
 
-# Ladder schedules. rows[bit] lists, in program order, the point operations
+# Ladder schedule. rows[bit] lists, in program order, the point operations
 # of one iteration for that key bit as (slot, op_kind, a, b, dst, port):
 # regs[dst] = regs[a] + regs[b] over the registers [R0, R1, Rt], and the
 # trace event names the write port `port`.
 R0, R1, RT = 0, 1, 2
+REGISTER_NAMES = ("R0", "R1", "Rt")
 
 # Balanced ladder: the key bit only steers which registers feed and take
 # each operation. The ports are the architectural ones (PA0 -> R0,
@@ -230,15 +231,6 @@ HARDENED_SCHEDULE = (
     (("PA0", "point-add", R0, R1, R0, "R0"),
      ("PA1", "point-double", R1, R1, R1, "R1"),
      ("PA0", "point-double", R0, R0, RT, "Rt")),
-)
-
-# Classic ladder, the baseline recorder's event table: each event names
-# the register it writes, so the port sequence follows the key bits.
-CLASSIC_SCHEDULE = (
-    (("PA0", "point-add", R0, R1, R1, "R1"),
-     ("PA0", "point-double", R0, R0, R0, "R0")),
-    (("PA0", "point-add", R0, R1, R0, "R0"),
-     ("PA0", "point-double", R1, R1, R1, "R1")),
 )
 
 
@@ -257,9 +249,9 @@ def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
     the key bit only steers internal multiplexers.
 
     A ``baseline`` recorder takes the classic ladder's trace of k from
-    this same run: each CLASSIC_SCHEDULE row is the hardened row without
-    its dummy write into Rt, so after a row R0 and R1 hold exactly the
-    values the classic row writes.
+    this same run: a classic row is the hardened row without its dummy
+    write into Rt, all in slot PA0, each event naming the register it
+    writes, so the register sequence follows the key bits.
     """
     bits = _normalize_scalar(k, curve)
     g = curve.generator
@@ -268,11 +260,11 @@ def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
     for i, bit in enumerate(bits[1:]):
         for slot, op_kind, a, b, dst, port in HARDENED_SCHEDULE[int(bit)]:
             regs[dst] = point_add_complete(regs[a], regs[b], curve)
+            weight = _point_weight(regs[dst])
             if recorder is not None:
-                recorder.record(i, slot, op_kind, port, _point_weight(regs[dst]))
-        if baseline is not None:
-            for slot, op_kind, _a, _b, dst, port in CLASSIC_SCHEDULE[int(bit)]:
-                baseline.record(i, slot, op_kind, port, _point_weight(regs[dst]))
+                recorder.record(i, slot, op_kind, port, weight)
+            if baseline is not None and dst != RT:
+                baseline.record(i, "PA0", op_kind, REGISTER_NAMES[dst], weight)
     return _finish(regs[R0], curve, recorder, curve.scalar_bits - 1, baseline)
 
 

@@ -131,13 +131,10 @@ def verify(pub: AffinePoint, z: bytes, sig) -> bool:
     of (identity, G, Q, G + Q)[bits] through point_add_complete on _NATIVE,
     then one to_affine. No product runs on the modeled multiplier.
     """
-    try:
-        r, s = sig.r, sig.s
-    except AttributeError:
-        try:
-            r, s = sig
-        except (TypeError, ValueError):
-            return False
+    # (r, s) or (r, s, parity), a Signature included; parity is not needed
+    if not isinstance(sig, (tuple, list)) or len(sig) not in (2, 3):
+        return False
+    r, s = sig[0], sig[1]
     if not isinstance(r, int) or not isinstance(s, int):
         return False
     if not 1 <= r < _N or not 1 <= s < _N:

@@ -14,10 +14,9 @@ classic row is the balanced row without its dummy write, so every
 classic trace is recorded from a balanced run, and one balanced ladder
 per scalar gives both ladders' traces.
 
-Traces can be compared with a synthetic-power MSE under three sample
-models: op-count (1.0 per event), hamming-weight (weight/256), and
-op-register (op and destination ids as features, which is what separates
-the classic baseline's traces).
+The uniformity report compares each variant's traces by shape and by
+the mean square difference of per-event op and register ids against the
+first trace, the feature that separates the classic baseline's traces.
 """
 
 import os
@@ -27,9 +26,7 @@ from typing import NamedTuple, Optional
 from . import curve as _curve
 
 OP_KINDS = ("point-add", "point-double", "field-mul")
-REGISTERS = ("R0", "R1", "Rt")
-
-MSE_MODELS = ("op-count", "hamming-weight", "op-register")
+REGISTERS = _curve.REGISTER_NAMES
 
 _VARIANTS = frozenset(("hardened", "classic", "comb"))
 
@@ -72,6 +69,12 @@ class TraceRecorder:
                                       e.dest_register, e.weight)
 
 
+def _check_variants(variants) -> None:
+    if not variants or not set(variants) <= _VARIANTS:
+        raise ValueError("variants must name one or more of 'hardened', "
+                         "'classic' and 'comb'")
+
+
 def _record(k: int, variants, curve) -> dict:
     """One trace of k per variant: one balanced ladder records the
     hardened trace and the classic baseline, whichever of the two are
@@ -92,38 +95,23 @@ def _record(k: int, variants, curve) -> dict:
 def record_ladder_trace(k: int, variant: str = "hardened",
                         curve=_curve.SECP256K1) -> TraceRecorder:
     """The trace of one scalar multiplication of `variant`."""
-    if variant not in _VARIANTS:
-        raise ValueError("variant must be 'hardened', 'classic' or 'comb'")
+    _check_variants((variant,))
     return _record(k, (variant,), curve)[variant]
 
 
-def _samples(trace: TraceRecorder, model: str):
-    if model == "op-count":
-        return [1.0] * len(trace.events)
-    if model == "hamming-weight":
-        return [e.weight / 256.0 for e in trace.events]
-    if model == "op-register":
-        # one feature per event: operation id and written-register id
-        return [float(OP_KINDS.index(e.op_kind) * 8
-                      + REGISTERS.index(e.dest_register) + 1)
-                for e in trace.events]
-    raise ValueError("unknown model %r (one of %s)" % (model, MSE_MODELS))
-
-
-def trace_mse(t1: TraceRecorder, t2: TraceRecorder,
-              model: str = "op-count") -> float:
-    """Mean square error between per-event synthetic power samples.
-
-    A length mismatch is an attacker alignment failure and reports as
-    maximal distinguishability (infinity) rather than raising.
-    """
-    s1 = _samples(t1, model)
-    s2 = _samples(t2, model)
-    if len(s1) != len(s2):
-        return float("inf")
-    if not s1:
-        return 0.0
-    return sum((a - b) ** 2 for a, b in zip(s1, s2)) / len(s1)
+def _register_mse_max(traces) -> float:
+    """Largest mean square difference of per-event ids (OP_KINDS index * 8
+    + REGISTERS index + 1) against the first trace; inf if lengths differ."""
+    ids = [[OP_KINDS.index(e.op_kind) * 8 + REGISTERS.index(e.dest_register)
+            + 1 for e in t.events] for t in traces]
+    base = ids[0]
+    worst = 0.0
+    for other in ids[1:]:
+        if len(other) != len(base):
+            return float("inf")
+        worst = max(worst, sum((a - b) ** 2 for a, b in zip(base, other))
+                    / len(base))
+    return worst
 
 
 class VariantStats(NamedTuple):
@@ -132,8 +120,6 @@ class VariantStats(NamedTuple):
     shapes_equal: bool
     distinct_shapes: int
     mse_op_count_max: float
-    mse_hamming_mean: float
-    mse_hamming_max: float
     mse_op_register_max: float
 
 
@@ -157,8 +143,6 @@ class UniformityReport(NamedTuple):
                             % s.distinct_shapes))
             lines.append("    MSE op-count    (max) : %.6f" % s.mse_op_count_max)
             lines.append("    MSE op-register (max) : %.6f" % s.mse_op_register_max)
-            lines.append("    MSE hamming mean/max  : %.6f / %.6f"
-                         % (s.mse_hamming_mean, s.mse_hamming_max))
         lines.append("result: %s" % ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
 
@@ -173,9 +157,7 @@ def uniformity_report(sample_count: int, variants=("hardened", "classic"),
     """
     if sample_count < 2:
         raise ValueError("need at least 2 samples to compare traces")
-    if not variants or not set(variants) <= _VARIANTS:
-        raise ValueError("variants must name one or more of 'hardened', "
-                         "'classic' and 'comb'")
+    _check_variants(variants)
     if rng is None:
         rng = random.Random(int.from_bytes(os.urandom(16), "big"))
     n = curve.n.value
@@ -185,18 +167,14 @@ def uniformity_report(sample_count: int, variants=("hardened", "classic"),
     for variant in runs[0]:
         traces = [run[variant] for run in runs]
         shapes = {t.shape for t in traces}
-        base = traces[0]
-        mse_oc = [trace_mse(base, t, "op-count") for t in traces[1:]]
-        mse_hw = [trace_mse(base, t, "hamming-weight") for t in traces[1:]]
-        mse_or = [trace_mse(base, t, "op-register") for t in traces[1:]]
         stats[variant] = VariantStats(
             variant=variant,
             samples=sample_count,
             shapes_equal=len(shapes) == 1,
             distinct_shapes=len(shapes),
-            mse_op_count_max=max(mse_oc),
-            mse_hamming_mean=sum(mse_hw) / len(mse_hw),
-            mse_hamming_max=max(mse_hw),
-            mse_op_register_max=max(mse_or),
+            # op-count samples are 1.0 per event: only a length can differ
+            mse_op_count_max=(0.0 if len({len(t) for t in traces}) == 1
+                              else float("inf")),
+            mse_op_register_max=_register_mse_max(traces),
         )
     return UniformityReport(sample_count, stats)

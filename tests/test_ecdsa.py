@@ -153,6 +153,7 @@ def test_verify_rejects_malformed_inputs():
     pub = public_point(d)
     sig = sign(d, Z1, nonce_source=Rfc6979Nonce())
     assert verify(pub, Z1, sig)
+    assert verify(pub, Z1, tuple(sig))                    # (r, s, parity)
     assert not verify(pub, Z2, sig)                       # wrong digest
     assert not verify(pub, Z1, (sig.r, 0))                # s = 0
     assert not verify(pub, Z1, (0, sig.s))                # r = 0

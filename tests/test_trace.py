@@ -1,18 +1,18 @@
-"""Operation-trace model tests: shape uniformity, baseline leakage, MSE."""
+"""Operation-trace model tests: shape uniformity, baseline leakage and
+the uniformity report's figures."""
 
 import hashlib
 import random
 
 import pytest
 
-from ethcold.curve import (CLASSIC_SCHEDULE, CurveParams, HARDENED_SCHEDULE,
-                           IDENTITY, point_add_complete, ProjectivePoint,
-                           RT, scalar_mul_classic, scalar_mul_ladder,
-                           SECP256K1)
+from ethcold.curve import (CurveParams, HARDENED_SCHEDULE, IDENTITY,
+                           point_add_complete, ProjectivePoint,
+                           scalar_mul_classic, scalar_mul_ladder, SECP256K1,
+                           to_affine)
 from ethcold.errors import InvalidScalarError
 from ethcold.field import count_mul_iterations, Modulus, SECP256K1_P
-from ethcold.trace import (record_ladder_trace, trace_mse, TraceRecorder,
-                           uniformity_report)
+from ethcold.trace import record_ladder_trace, TraceRecorder, uniformity_report
 
 import vectors
 
@@ -73,41 +73,6 @@ def test_trace_rejects_invalid_scalars():
     assert counts == []
 
 
-def test_mse_identical_traces_is_zero():
-    t = record_ladder_trace(7, "hardened", SMALL)
-    assert trace_mse(t, t, "op-count") == 0.0
-    assert trace_mse(t, t, "hamming-weight") == 0.0
-    assert trace_mse(t, t, "op-register") == 0.0
-
-
-def test_mse_op_count_zero_for_hardened_pair():
-    t1 = record_ladder_trace(0xaaaa, "hardened", SMALL)
-    t2 = record_ladder_trace(0x5555 % SC["order"] or 5, "hardened", SMALL)
-    assert trace_mse(t1, t2, "op-count") == 0.0
-    # weights are data-dependent, so the hamming model sees a difference
-    assert trace_mse(t1, t2, "hamming-weight") > 0.0
-    # but register/op features are uniform
-    assert trace_mse(t1, t2, "op-register") == 0.0
-
-
-def test_mse_op_register_positive_for_classic_adversarial_pair():
-    t1 = record_ladder_trace((1 << 254) + 1, "classic")
-    t2 = record_ladder_trace((1 << 255) - 1, "classic")
-    assert trace_mse(t1, t2, "op-register") > 0.0
-
-
-def test_mse_length_mismatch_is_maximal_distinguishability():
-    t1 = record_ladder_trace(3, "hardened", SMALL)
-    t2 = record_ladder_trace(3, "classic", SMALL)
-    assert trace_mse(t1, t2, "op-count") == float("inf")
-
-
-def test_mse_unknown_model_rejected():
-    t = record_ladder_trace(3, "hardened", SMALL)
-    with pytest.raises(ValueError):
-        trace_mse(t, t, "watts")
-
-
 class LoggingModulus(Modulus):
     """A modulus that appends the kind of every field operation to ops."""
 
@@ -158,6 +123,7 @@ def test_uniformity_report_passes_for_hardened():
     stats = report.stats["hardened"]
     assert stats.shapes_equal
     assert stats.mse_op_count_max == 0.0
+    assert stats.mse_op_register_max == 0.0
     text = report.to_text()
     assert "PASS" in text
     assert "hardened" in text
@@ -170,6 +136,7 @@ def test_uniformity_report_detects_classic_inequality():
     stats = report.stats["classic"]
     assert not stats.shapes_equal
     assert stats.distinct_shapes > 1
+    assert stats.mse_op_register_max > 0.0
     assert "NO" in report.to_text()
     # classic-only reports still "pass": the hardened claim is not under test
     assert report.passed
@@ -212,15 +179,34 @@ def test_export_lines_format():
 
 # --- one balanced run records both ladders ---
 
-def test_classic_rows_are_hardened_rows_without_the_dummy():
-    for bit in (0, 1):
-        hardened = [(op, a, b, dst)
-                    for _slot, op, a, b, dst, _port in HARDENED_SCHEDULE[bit]]
-        classic = [(op, a, b, dst)
-                   for _slot, op, a, b, dst, _port in CLASSIC_SCHEDULE[bit]]
-        dummy = hardened[-1]
-        assert dummy[3] == RT
-        assert classic == hardened[:-1]
+def _weight(pt):
+    return sum(c.bit_count() for c in pt)
+
+
+def test_baseline_is_the_classic_two_operation_ladder():
+    """The classic ladder written out (Joye and Yen): key bit b adds
+    R0 + R1 into R(1-b), then doubles R(b), each event naming the
+    register written. The balanced run's baseline records exactly that."""
+    g = SMALL.generator
+    for k in range(1, SC["order"]):
+        bits = format(k, "0%db" % SMALL.scalar_bits)
+        regs = ([g, point_add_complete(g, g, SMALL)] if bits[0] == "1"
+                else [IDENTITY, g])
+        want = []
+        for i, bit in enumerate(bits[1:]):
+            b = int(bit)
+            regs[1 - b] = point_add_complete(regs[0], regs[1], SMALL)
+            want.append((i, "PA0", "point-add", "R%d" % (1 - b),
+                         _weight(regs[1 - b])))
+            regs[b] = point_add_complete(regs[b], regs[b], SMALL)
+            want.append((i, "PA0", "point-double", "R%d" % b,
+                         _weight(regs[b])))
+        point = to_affine(regs[0], SMALL)
+        want += [(len(bits) - 1, "BIA", "field-mul", "R0", c.bit_count())
+                 for c in (point.x, point.y)]
+        classic = TraceRecorder()
+        assert scalar_mul_ladder(k, SMALL, baseline=classic) == point
+        assert classic.events == want
 
 
 def test_shared_run_records_both_standalone_traces():
@@ -257,6 +243,28 @@ def test_report_on_both_ladders_runs_one_ladder_per_scalar(samples, variants):
         uniformity_report(samples, variants=variants, curve=SMALL,
                           rng=random.Random(samples))
     assert len(counts) == samples * 268
+
+
+@pytest.mark.parametrize("seed, classic_shapes, classic_register_mse", [
+    pytest.param(1, 5, 0.8571428571428571, id="1"),
+    pytest.param(2, 6, 0.42857142857142855, id="2"),
+    pytest.param(3, 6, 0.7142857142857143, id="3"),
+])
+def test_report_figures_read_by_the_bench_trace_check(
+        seed, classic_shapes, classic_register_mse):
+    """(shapes_equal, distinct_shapes, mse_op_count_max,
+    mse_op_register_max) per variant, exactly; the register figure is
+    compared float-exactly with an independent classic-ladder model."""
+    report = uniformity_report(6, variants=("hardened", "classic", "comb"),
+                               curve=SMALL, rng=random.Random(seed))
+    assert report.passed is True
+    figures = {v: (s.shapes_equal, s.distinct_shapes, s.mse_op_count_max,
+                   s.mse_op_register_max) for v, s in report.stats.items()}
+    assert figures == {
+        "hardened": (True, 1, 0.0, 0.0),
+        "classic": (False, classic_shapes, 0.0, classic_register_mse),
+        "comb": (True, 1, 0.0, 0.0),
+    }
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -298,10 +306,6 @@ def test_comb_shapes_identical_over_random_scalars():
     traces = [record_ladder_trace(rng.randrange(1, SECP256K1.n.value), "comb")
               for _ in range(100)]
     assert len({t.shape for t in traces}) == 1
-    base = traces[0]
-    for t in traces[1:]:
-        assert trace_mse(base, t, "op-count") == 0.0
-        assert trace_mse(base, t, "op-register") == 0.0
 
 
 def test_comb_shapes_equal_on_small_curve_all_scalars():
@@ -326,7 +330,7 @@ def test_uniformity_report_covers_comb():
     assert report.passed
 
 
-# --- schedule tables and golden traces ---
+# --- schedule table and golden traces ---
 
 def _projection(row):
     return [(slot, op_kind, port) for slot, op_kind, _a, _b, _dst, port in row]
@@ -336,10 +340,6 @@ def test_hardened_schedule_rows_agree_on_slot_op_and_port():
     """Static key independence: the bit steers register indices only."""
     assert _projection(HARDENED_SCHEDULE[0]) == \
         _projection(HARDENED_SCHEDULE[1])
-
-
-def test_classic_schedule_rows_differ_on_port():
-    assert _projection(CLASSIC_SCHEDULE[0]) != _projection(CLASSIC_SCHEDULE[1])
 
 
 # sha256 over export_lines() (each line plus "\n"), for every scalar
