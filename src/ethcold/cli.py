@@ -32,9 +32,9 @@ EXIT_CRYPTO = 4
 MAX_COUNT = 1000
 
 # The most scalars one trace command may ask for: one balanced ladder per
-# scalar whatever the variant, about 25 s (0.25 s a scalar on a 2-vCPU
-# x86-64 box, Python 3.11). A larger --samples exits 3 before any scalar
-# is drawn.
+# scalar whatever the variant, about 31 s (0.31 s a scalar on a shared
+# 2-vCPU x86-64 box, Python 3.11). A larger --samples exits 3 before any
+# scalar is drawn.
 MAX_SAMPLES = 100
 
 

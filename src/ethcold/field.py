@@ -1,15 +1,17 @@
 """Modular arithmetic mod the secp256k1 field prime and group order.
 
-Multiplication is bit-serial: shift the accumulator, reduce, conditionally
-add the multiplicand, reduce again. The loop always runs one iteration
-per bit of the modulus (256 for the secp256k1 moduli) no matter what the
-operands look like, so the multiplier's operation count is independent of
-its inputs.
-Reduction after every step is a single conditional subtract, so values
-never grow past one extra bit. The add and its reduction are one compare
-against m - a, computed once per multiply: acc + a >= m exactly when
-acc >= m - a, so the step yields acc - (m - a) or acc + a, the value
-that adding and then subtracting m would give. Same steps, same values.
+Multiplication is bit-serial, Blakley's interleaved modular multiplier
+(IEEE Trans. Computers C-32, 1983): each step doubles the accumulator,
+adds the multiplicand on a 1 bit of the other operand, and reduces once.
+The loop always runs one iteration per bit of the modulus (256 for the
+secp256k1 moduli) no matter what the operands look like, so the
+multiplier's operation count is independent of its inputs.
+Every step ends on the canonical residue in [0, m). Before its one
+reduction a value stays below 3m, two bits above m: 2*acc + a is reduced
+by 0, 1 or 2 subtractions of m, decided by compares against m - a and
+2m - a, both computed once per multiply; a step on a 0 bit only has
+2*acc < 2m to reduce, one conditional subtract. Operands outside [0, m)
+raise ValueError, so the step count is the modulus width by construction.
 The loop keeps no step counter of its own: ``count_mul_iterations``
 records the length of the bit string the loop walks, which is its exact
 trip count. A wallet k*G (the fixed-base comb) costs 520 such
@@ -94,28 +96,41 @@ class Modulus:
         return d + self.value if d < 0 else d
 
     def mul(self, a: int, b: int) -> int:
-        """Shift-and-add product, MSB first, reducing after every step.
+        """Blakley product, MSB first: double, add, reduce once per step.
 
-        Each step doubles acc and reduces it; on a 1 bit of b it then adds
-        a and reduces, as one compare: acc - (m - a) when acc >= m - a,
-        else acc + a. The loop scans b, so the cheaper operand to pass
-        second is the one with fewer set bits; the step count is the same.
+        Each step doubles acc into [0, 2m). On a 1 bit of b it then turns
+        2*acc + a, below 3m, into [0, m) with at most two compares and
+        one add or subtract: acc - (2m - a) when acc >= 2m - a, else
+        acc - (m - a) when acc >= m - a, else acc + a. On a 0 bit it
+        subtracts m when acc >= m. The residue after every step is
+        (2*acc + bit*a) mod m. The loop scans b, so the cheaper operand
+        to pass second is the one with fewer set bits; the step count is
+        the same.
 
-        Inputs must already be canonical residues in [0, m).
+        Both operands must be canonical residues in [0, m): ValueError
+        otherwise.
         """
         m = self.value
+        if not (0 <= a < m and 0 <= b < m):
+            raise ValueError("operands must be in [0, m)")
         ma = m - a
+        m2a = ma + m
         acc = 0
         bits = format(b, self._fmt).encode().translate(_BITS)
         for bit in bits:
             acc += acc
-            if acc >= m:
-                acc -= m
             if bit:
                 if acc >= ma:
-                    acc -= ma
+                    if acc >= m2a:
+                        acc -= m2a
+                    else:
+                        acc -= ma
                 else:
                     acc += a
+            # acc is even here and m odd, so acc == m never occurs:
+            # > and >= agree, and no test can tell them apart
+            elif acc >= m:
+                acc -= m
         if _mul_iteration_sink is not None:
             # the loop runs once per byte of bits, with no early exit
             _mul_iteration_sink.append(len(bits))

@@ -69,6 +69,37 @@ def test_multiplier_iteration_count_fixed():
         assert counts == [steps] * 4
 
 
+def test_mul_rejects_operands_outside_the_residues():
+    """An operand outside [0, m) raises instead of answering wrong: the
+    step's thresholds m - a and 2m - a need a in [0, m), and b < m keeps
+    the step count at the modulus width."""
+    p = FIELD_P.value
+    small = Modulus(103)
+    for mod, a, b in ((small, 106, 35),   # would return 105, not 2
+                      (FIELD_P, -1, 2),   # would return -2
+                      (small, 5, 130),    # would run 8 steps, not 7
+                      (small, 103, 1), (small, 1, 103), (small, 1, -1),
+                      (ORDER_N, ORDER_N.value, 1), (FIELD_P, 1, p)):
+        with pytest.raises(ValueError):
+            mod.mul(a, b)
+    assert FIELD_P.mul(p - 1, p - 1) == 1
+
+
+@pytest.mark.parametrize("mod", [FIELD_P, ORDER_N], ids=["p", "n"])
+def test_mul_edge_table_256_bit_moduli(mod):
+    """Every pair of edge residues gives a*b mod m in exactly 256 steps:
+    the ends of [0, m), the half (m + 1)/2 where 2a wraps to 1, and the
+    reductions of 2^255 and 2^256."""
+    m = mod.value
+    edges = [0, 1, 2, m - 1, m - 2, (m + 1) // 2,
+             (1 << 255) % m, (1 << 256) % m]
+    with count_mul_iterations() as counts:
+        for a in edges:
+            for b in edges:
+                assert mod.mul(a, b) == a * b % m, (a, b)
+    assert counts == [256] * len(edges) ** 2
+
+
 def test_inv_trivial():
     assert FIELD_P.inv(1) == 1
 
@@ -117,12 +148,13 @@ def test_inv_times_value_is_one_property():
 
 @pytest.mark.parametrize("value", [7, 37, 101, 103, 105])
 def test_mul_exhaustive_small_moduli(value):
-    """Every canonical pair, a = 0 (m - a = m) and a = m - 1 (m - a = 1)
-    included, gives a*b mod m in m.bit_length() steps.
+    """Every canonical pair, a = 0 (m - a = m, 2m - a = 2m) and a = m - 1
+    (m - a = 1) included, gives a*b mod m in m.bit_length() steps.
 
-    Under a prime modulus an add left at acc = m, unreduced, still ends
-    congruent; composite 105 has zero products of nonzero operands, where
-    it would end at m instead of 0.
+    Under a prime modulus an add left at acc = m, unreduced (a > in place
+    of >= against m - a or 2m - a), still ends congruent; composite 105
+    has zero products of nonzero operands, where it would end at m
+    instead of 0.
     """
     m = Modulus(value)
     with count_mul_iterations() as counts:
