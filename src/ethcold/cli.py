@@ -32,7 +32,7 @@ EXIT_CRYPTO = 4
 MAX_COUNT = 1000
 
 # The most scalars one trace command may ask for: one balanced ladder per
-# scalar whatever the variant, about 31 s (0.31 s a scalar on a shared
+# scalar records both ladders' traces, about 31 s (0.31 s a scalar on a shared
 # 2-vCPU x86-64 box, Python 3.11). A larger --samples exits 3 before any
 # scalar is drawn.
 MAX_SAMPLES = 100
@@ -117,8 +117,6 @@ def _build_parser():
     p = sub.add_parser("trace", help="ladder operation-trace uniformity report")
     p.add_argument("--samples", type=ascii_int, required=True,
                    help="scalars per ladder, 2 to %d" % MAX_SAMPLES)
-    p.add_argument("--variant", choices=("hardened", "classic", "both"),
-                   default="both")
 
     sub.add_parser("selftest", help="run the embedded standard-vector checks")
     return parser
@@ -223,9 +221,7 @@ def _cmd_sign(args, session):
 def _cmd_trace(args, session):
     if not 2 <= args.samples <= MAX_SAMPLES:
         raise ValidationError("--samples must be in [2, %d]" % MAX_SAMPLES)
-    variants = (("hardened", "classic") if args.variant == "both"
-                else (args.variant,))
-    report = uniformity_report(args.samples, variants=variants)
+    report = uniformity_report(args.samples)
     payload = {"passed": report.passed,
                "variants": {v: s._asdict() for v, s in report.stats.items()}}
     _emit(args, payload, [report.to_text()])

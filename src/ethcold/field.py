@@ -12,6 +12,8 @@ by 0, 1 or 2 subtractions of m, decided by compares against m - a and
 2m - a, both computed once per multiply; a step on a 0 bit only has
 2*acc < 2m to reduce, one conditional subtract. Operands outside [0, m)
 raise ValueError, so the step count is the modulus width by construction.
+The add and sub methods correct by m once: a + b must lie in [0, 2m)
+and a - b in [-m, m), as for any two residues, else ValueError.
 The loop keeps no step counter of its own: ``count_mul_iterations``
 records the length of the bit string the loop walks, which is its exact
 trip count. A wallet k*G (the fixed-base comb) costs 520 such
@@ -89,10 +91,14 @@ class Modulus:
 
     def add(self, a: int, b: int) -> int:
         s = a + b
+        if not 0 <= s < 2 * self.value:
+            raise ValueError("a + b must be in [0, 2m)")
         return s - self.value if s >= self.value else s
 
     def sub(self, a: int, b: int) -> int:
         d = a - b
+        if not -self.value <= d < self.value:
+            raise ValueError("a - b must be in [-m, m)")
         return d + self.value if d < 0 else d
 
     def mul(self, a: int, b: int) -> int:

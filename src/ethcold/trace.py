@@ -3,16 +3,16 @@
 A TraceRecorder passed to a ladder or to the fixed-base comb as its
 recorder collects one event per point operation: (iteration, slot, op
 kind, destination register, Hamming weight of the written value), and is
-itself the trace: it gives the shape, the iteration count and the export
-lines. For the ladders the slot, op kind and register come from the row
-of the curve module's schedule table that the key bit selects. The shape
-of a trace is the event sequence with weights erased; for the balanced
-ladder and the comb it depends only on the fixed scalar width, never on
-key bits, which is the testable core of the design's leakage claim. The
-classic ladder's shape follows the key and serves as the baseline. Each
-classic row is the balanced row without its dummy write, so every
-classic trace is recorded from a balanced run, and one balanced ladder
-per scalar gives both ladders' traces.
+itself the trace: it gives the shape and the export lines. For the
+ladders the slot, op kind and register come from the row of the curve
+module's schedule table that the key bit selects. The shape of a trace
+is the event sequence with weights erased; for the balanced ladder and
+the comb it depends only on the fixed scalar width, never on key bits,
+which is the testable core of the design's leakage claim. The classic
+ladder's shape follows the key and serves as the baseline. Each classic
+row is the balanced row without its dummy write, so every classic trace
+is recorded from a balanced run, and one balanced ladder per scalar
+gives both ladders' traces.
 
 The uniformity report compares each variant's traces by shape and by
 the mean square difference of per-event op and register ids against the
@@ -57,10 +57,6 @@ class TraceRecorder:
 
     def __len__(self):
         return len(self.events)
-
-    def iterations(self) -> int:
-        """Number of distinct ladder iterations (BIA tail excluded)."""
-        return len({e.iteration for e in self.events if e.slot != "BIA"})
 
     def export_lines(self):
         """Line-delimited records for external analysis."""
@@ -129,7 +125,8 @@ class UniformityReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        """Every variant other than the classic baseline has one shape."""
+        """Every non-classic variant has one shape; a report with none,
+        which only the API can ask for, passes vacuously."""
         return all(s.shapes_equal for v, s in self.stats.items()
                    if v != "classic")
 

@@ -285,10 +285,20 @@ def test_init_random_is_not_deterministic(capsys):
 
 
 def test_trace_command_small_sample(capsys):
-    code, out, _ = run(capsys, ["trace", "--samples", "2",
-                                "--variant", "hardened"])
+    """Every report covers the balanced ladder and its classic view, so
+    its PASS rests on the balanced ladder's shapes."""
+    code, out, _ = run(capsys, ["--json", "trace", "--samples", "2"])
     assert code == 0
-    assert "PASS" in out
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert list(report["variants"]) == ["hardened", "classic"]
+
+
+def test_trace_has_no_variant_option(capsys):
+    code, out, _ = run(capsys, ["trace", "--samples", "2",
+                                "--variant", "classic"])
+    assert code == 2
+    assert out == ""
 
 
 def test_trace_samples_validation(capsys, monkeypatch):

@@ -35,6 +35,19 @@ def test_sub_self_and_wrap():
     assert FIELD_P.sub(0, 1) == p - 1
 
 
+def test_add_sub_reject_operands_one_correction_cannot_reduce():
+    """One correction of m gives the residue only for a + b in [0, 2m) or
+    a - b in [-m, m); any other operands raise instead of answering
+    wrong or out of range."""
+    small = Modulus(103)
+    for op, a, b in ((small.add, 150, 150),   # would return 197
+                     (small.add, -5, 1),      # would return -4
+                     (small.sub, 5, 300)):    # would return -192
+        with pytest.raises(ValueError):
+            op(a, b)
+    assert small.add(102, 102) == 101 and small.sub(0, 102) == 1
+
+
 def test_mul_identity_and_zero():
     a = 0xdeadbeef12345678
     assert FIELD_P.mul(a, 1) == a
@@ -149,7 +162,8 @@ def test_inv_times_value_is_one_property():
 @pytest.mark.parametrize("value", [7, 37, 101, 103, 105])
 def test_mul_exhaustive_small_moduli(value):
     """Every canonical pair, a = 0 (m - a = m, 2m - a = 2m) and a = m - 1
-    (m - a = 1) included, gives a*b mod m in m.bit_length() steps.
+    (m - a = 1) included, gives a*b mod m in m.bit_length() steps, and
+    a + b and a - b mod m.
 
     Under a prime modulus an add left at acc = m, unreduced (a > in place
     of >= against m - a or 2m - a), still ends congruent; composite 105
@@ -161,6 +175,8 @@ def test_mul_exhaustive_small_moduli(value):
         for a in range(value):
             for b in range(value):
                 assert m.mul(a, b) == a * b % value, (a, b)
+                assert m.add(a, b) == (a + b) % value, (a, b)
+                assert m.sub(a, b) == (a - b) % value, (a, b)
     assert counts == [value.bit_length()] * value ** 2
 
 

@@ -95,8 +95,6 @@ VALUES = {
     "--samples": st.sampled_from(["-1", "-" + "9" * 40, "0", "1", "\u0661",
                                   "\u00b2", "1e9", "x", "", "\udcff",
                                   str(MAX_SAMPLES + 1), "9999999999"]),
-    "--variant": _values(["hardened", "classic", "both"],
-                         st.sampled_from(["comb", ""])),
 }
 SWITCHES = ["--random", "--export-private", "--i-understand-risks",
             "--deterministic", "--json", "--help", "--bogus"]
@@ -109,7 +107,7 @@ COMMAND_FLAGS = {
              "--i-understand-risks"],
     "sign": ["--mnemonic", "--passphrase", "--index", "--digest",
              "--deterministic"],
-    "trace": ["--samples", "--variant"],
+    "trace": ["--samples"],
 }
 ANY_FLAG = sorted(VALUES) + SWITCHES
 
