@@ -16,7 +16,7 @@ import sys
 
 from . import bip39
 from .errors import CryptoError, ValidationError
-from .hd import format_path, master_from_seed, ETH_BASE_PATH
+from .hd import format_path, master_from_seed, ETH_BASE_PATH, HARDENED
 from .keystore import Keystore
 from .trace import uniformity_report
 from .u256 import parse_hex_bytes
@@ -27,8 +27,10 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_CRYPTO = 4
 
-# The most accounts one derive or list command may ask for: about half a
-# minute of combs. A larger --count exits 3 before any derivation.
+# The most accounts one derive or list command may ask for. Only list
+# --count runs a comb per account (about half a minute for all of them);
+# derive reads no public key. A larger --count exits 3 before any
+# derivation.
 MAX_COUNT = 1000
 
 # The most scalars one trace command may ask for: one balanced ladder per
@@ -206,9 +208,11 @@ def _cmd_list(args, session):
 
 
 def _cmd_sign(args, session):
-    store = _wallet_for(args, session)
+    # refused before the wallet loads, so a refusal stretches no seed
     digest = parse_hex_bytes(args.digest, expect_len=32)
-    account = store.account(args.index)
+    if not 0 <= args.index < HARDENED:
+        raise ValidationError("account index must be in [0, 2^31)")
+    account = _wallet_for(args, session).account(args.index)
     nonce = Rfc6979Nonce() if args.deterministic else None
     sig = ecdsa_sign(account.key_int, digest, nonce_source=nonce)
     payload = {"r": "%064x" % sig.r, "s": "%064x" % sig.s,

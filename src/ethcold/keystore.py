@@ -2,39 +2,64 @@
 
 Accounts live only in process memory (persistent retention is out of
 scope). The store keeps the account-parent node m/44'/60'/0'/0 and derives
-each account as one CKD from it, so a sibling costs one derivation and one
-comb; no other node on the path, and no account's own node, is kept.
+each account as one CKD from it, so a sibling costs one derivation; no
+other node on the path, and no account's own node, is kept. An account
+computes its public key and address from its private key on first read,
+once, so a caller that only signs runs no comb for them.
 An account's record holds public data (index, compressed public key,
 checksummed address) unless the caller passes the explicit private
 override. Private key bytes are held in a bytearray so wipe() can zero
 them in place, best effort.
 """
 
+import functools
 from typing import NamedTuple
 
 from .address import pubkey_to_address, to_checksum_address
-from .errors import DerivationError, ValidationError
-# public_point is not called here; it stays importable under this module
-# because the benchmark's layer probe (bench/layers.py) wraps it here.
-from .hd import (derive_path, ETH_BASE_PATH, ExtendedKey, HARDENED,  # noqa: F401
+from .curve import AffinePoint
+from .errors import DerivationError, ValidationError, WalletError
+from .hd import (derive_path, ETH_BASE_PATH, ExtendedKey, HARDENED,
                  public_point, serialize_pubkey)
 from .u256 import to_bytes32
 
 
-class Account(NamedTuple):
+class _AccountFields(NamedTuple):
     index: int
     private_key: bytearray
-    public_key: bytes
-    address: str
+
+
+class Account(_AccountFields):
+    """One derived account; ``public_key`` and ``address`` are computed
+    from the private key on first read, once."""
 
     def __repr__(self):
-        # a logged or asserted account must not write out its key
-        return "Account(index=%r, private_key=<hidden>, public_key=%r, " \
-               "address=%r)" % (self.index, self.public_key, self.address)
+        # a logged or asserted account must not write out its key, and
+        # printing one runs no comb: the public fields show once read
+        read = "".join(", %s=%r" % (name, self.__dict__[name])
+                       for name in ("public_key", "address")
+                       if name in self.__dict__)
+        return "Account(index=%r, private_key=<hidden>%s)" % (self.index, read)
 
     @property
     def key_int(self) -> int:
         return int.from_bytes(self.private_key, "big")
+
+    @functools.cached_property
+    def _point(self) -> AffinePoint:
+        # cached_property writes the instance __dict__, as on
+        # hd.ExtendedKey; tuple __eq__/__hash__ compare the fields only
+        key = self.key_int
+        if key == 0:  # no account key is 0: wipe() zeroed this one
+            raise WalletError("account %d was wiped" % self.index)
+        return public_point(key)
+
+    @functools.cached_property
+    def public_key(self) -> bytes:
+        return serialize_pubkey(self._point)
+
+    @functools.cached_property
+    def address(self) -> str:
+        return to_checksum_address(pubkey_to_address(self._point))
 
     def record(self, include_private: bool = False) -> dict:
         """The account's listed fields, in output order."""
@@ -77,10 +102,11 @@ class Keystore:
     def account(self, index: int) -> Account:
         """The account m/44'/60'/0'/0/index, for 0 <= index < 2^31.
 
-        Derives that one path, which costs one CKD and one comb once the
-        parent node exists, and keeps the account for later calls and for
-        wipe(). It does not join ``accounts``, from which generate() takes
-        its next index, so a later generate() hands out the same indices.
+        Derives that one path, which costs one CKD once the parent node
+        exists (its public key and address cost one comb on first read),
+        and keeps the account for later calls and for wipe(). It does
+        not join ``accounts``, from which generate() takes its next index,
+        so a later generate() hands out the same indices.
         """
         if not 0 <= index < HARDENED:
             raise ValidationError("account index must be in [0, 2^31)")
@@ -95,13 +121,8 @@ class Keystore:
         account = self._by_index.get(index)
         if account is None:
             node = derive_path(self._account_parent(), (index,))
-            point = node.point
-            account = Account(
-                index=index,
-                private_key=bytearray(to_bytes32(node.key)),
-                public_key=serialize_pubkey(point),
-                address=to_checksum_address(pubkey_to_address(point)),
-            )
+            account = Account(index=index,
+                              private_key=bytearray(to_bytes32(node.key)))
             self._by_index[index] = account
         return account
 

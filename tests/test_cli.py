@@ -200,9 +200,51 @@ def test_sign_far_index_costs_what_index_0_costs(capsys):
         costs.append(len(counts))
     assert json.loads(out) == {"r": "%064x" % r, "s": "%064x" % s,
                                "parity": parity}
-    # three combs for the path (m/44'/60'/0', /0, the account), one for
-    # the nonce point and two multiplies for its affine y
-    assert costs == [3 * 520 + 522] * 2
+    # two combs for the parent path (m/44'/60'/0', /0; the account's own
+    # public point is never read), one for the nonce point and two
+    # multiplies for its affine y
+    assert costs == [2 * 520 + 522] * 2
+
+
+def test_sign_refuses_bad_input_before_loading_the_wallet(capsys, monkeypatch):
+    """A malformed --digest or an --index outside [0, 2^31) exits 3
+    before the seed is stretched."""
+    seeds = []
+    real_seed = ethcold.bip39.mnemonic_to_seed
+
+    def counted_seed(*args, **kwargs):
+        seeds.append(args)
+        return real_seed(*args, **kwargs)
+    monkeypatch.setattr(ethcold.bip39, "mnemonic_to_seed", counted_seed)
+    sign = ["sign", "--mnemonic", V12["mnemonic"]]
+    for argv in ([*sign, "--index", "0", "--digest", "zz"],
+                 [*sign, "--index", str(1 << 31), "--digest", "ab" * 32],
+                 [*sign, "--index", "-1", "--digest", "ab" * 32]):
+        code, out, err = run(capsys, argv)
+        assert code == 3, argv
+        assert out == ""
+        assert seeds == [], argv
+    code, _, _ = run(capsys, [*sign, "--index", "0", "--digest", "ab" * 32])
+    assert code == 0
+    assert len(seeds) == 1
+
+
+def test_derive_reads_no_public_key_and_list_reads_each_once(capsys):
+    """derive --count 3 runs the two parent-path combs only; the list
+    after it runs one comb per account and prints the vector records."""
+    session = Session()
+    run(capsys, ["recover", "--mnemonic", V24["mnemonic"]], session)
+    with count_mul_iterations() as counts:
+        code, _, _ = run(capsys, ["derive", "--count", "3"], session)
+    assert code == 0
+    assert len(counts) == 2 * 520
+    with count_mul_iterations() as counts:
+        code, out, _ = run(capsys, ["--json", "list"], session)
+    assert code == 0
+    assert len(counts) == 3 * 520
+    assert json.loads(out) == [
+        {"index": a["index"], "public_key": a["pub_compressed"],
+         "address": a["address"]} for a in V24["accounts"]]
 
 
 def test_over_limit_requests_exit_3_before_deriving(capsys):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ethcold.bip39 import mnemonic_to_seed
-from ethcold.errors import DerivationError, ValidationError
+from ethcold.errors import DerivationError, ValidationError, WalletError
 from ethcold.field import count_mul_iterations
 import ethcold.hd
 from ethcold.hd import derive_path, ETH_BASE_PATH, ExtendedKey, master_from_seed
@@ -142,25 +142,52 @@ COMB_MULS = 520
 
 
 def test_sibling_account_costs_one_comb():
-    """The parent m/44'/60'/0'/0 keeps its point; a sibling pays only its own."""
+    """The parent m/44'/60'/0'/0 keeps its point; a sibling pays only its
+    own, on the first read of its address."""
     store = _store()
     store.generate(1)
     with count_mul_iterations() as counts:
-        store.generate(1)
+        (account,) = store.generate(1)
+    assert counts == []
+    with count_mul_iterations() as counts:
+        assert account.address == V24["accounts"][1]["address"]
     assert len(counts) == COMB_MULS
+    with count_mul_iterations() as counts:
+        assert account.public_key.hex() == V24["accounts"][1]["pub_compressed"]
+        assert account.address == V24["accounts"][1]["address"]
+    assert counts == []
 
 
 def test_wipe_drops_cached_points():
-    """After wipe the first account again pays for m/44'/60'/0', /0 and itself."""
+    """After wipe the first account again pays for m/44'/60'/0' and /0,
+    and for itself once read."""
     store = _store()
-    with count_mul_iterations() as counts:
-        store.generate(1)
-    assert len(counts) == 3 * COMB_MULS
+    for _ in range(2):
+        with count_mul_iterations() as counts:
+            (account,) = store.generate(1)
+        assert len(counts) == 2 * COMB_MULS
+        with count_mul_iterations() as counts:
+            assert account.address == V24["accounts"][0]["address"]
+        assert len(counts) == COMB_MULS
+        store.wipe()
+
+
+def test_wiped_account_refuses_its_public_fields():
+    """An account never read before wipe() has no key left to compute
+    its address from: the read raises before any multiply."""
+    store = _store()
+    (account,) = store.generate(1)
+    key = account.key_int
     store.wipe()
     with count_mul_iterations() as counts:
-        store.generate(1)
-    assert len(counts) == 3 * COMB_MULS
-    assert store.accounts[0].address == V24["accounts"][0]["address"]
+        with pytest.raises(WalletError):
+            account.address
+        with pytest.raises(WalletError):
+            account.public_key
+    assert counts == []
+    text = repr(account)
+    assert text == "Account(index=0, private_key=<hidden>)"
+    assert not any(form in text for form in _key_forms(key))
 
 
 def test_cached_equals_uncached_derivations():
@@ -181,11 +208,12 @@ def _oracle_key(index):
 
 
 def test_account_derives_one_index_directly():
-    """A far index costs the three combs of its own path, no more."""
+    """A far index costs the two combs of its parent path, no more; its
+    own public point waits for a read."""
     store = _store()
     with count_mul_iterations() as counts:
         account = store.account(1_000_000)
-    assert len(counts) == 3 * COMB_MULS
+    assert len(counts) == 2 * COMB_MULS
     assert account.index == 1_000_000
     assert account.key_int == _oracle_key(1_000_000)
     assert store.accounts == []
@@ -249,8 +277,9 @@ def test_repr_and_str_leave_the_key_out():
                      (account, account.key_int)):
         for text in (repr(obj), str(obj)):
             assert not any(form in text for form in _key_forms(key)), text
-    assert repr(account).startswith("Account(index=0, ")
+    assert repr(account) == "Account(index=0, private_key=<hidden>)"
     assert account.address in repr(account)
-    # the fields themselves are untouched
-    assert account._asdict()["private_key"] == account.private_key
+    # the fields themselves are untouched; the public ones are computed
+    assert account._asdict() == {"index": 0,
+                                 "private_key": account.private_key}
     assert tuple(derived) == (derived.key, derived.chain_code)
