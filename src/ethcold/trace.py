@@ -14,9 +14,11 @@ row is the balanced row without its dummy write, so every classic trace
 is recorded from a balanced run, and one balanced ladder per scalar
 gives both ladders' traces.
 
-The uniformity report compares each variant's traces by shape and by
-the mean square difference of per-event op and register ids against the
-first trace, the feature that separates the classic baseline's traces.
+The uniformity report runs one balanced ladder per random scalar and
+compares its two traces, hardened and classic, by shape and by the mean
+square difference of per-event op and register ids against the first
+trace, the feature that separates the classic baseline's traces. It
+passes when the hardened traces share one shape.
 """
 
 import os
@@ -28,14 +30,12 @@ from . import curve as _curve
 OP_KINDS = ("point-add", "point-double", "field-mul")
 REGISTERS = _curve.REGISTER_NAMES
 
-_VARIANTS = frozenset(("hardened", "classic", "comb"))
-
 
 class TraceEvent(NamedTuple):
     iteration: int
     slot: str
     op_kind: str
-    dest_register: Optional[str]
+    dest_register: str
     weight: int
 
 
@@ -65,34 +65,21 @@ class TraceRecorder:
                                       e.dest_register, e.weight)
 
 
-def _check_variants(variants) -> None:
-    if not variants or not set(variants) <= _VARIANTS:
-        raise ValueError("variants must name one or more of 'hardened', "
-                         "'classic' and 'comb'")
-
-
-def _record(k: int, variants, curve) -> dict:
-    """One trace of k per variant: one balanced ladder records the
-    hardened trace and the classic baseline, whichever of the two are
-    asked for, and the comb runs if it is.
-
-    The multiplies are looked up on the curve module at call time, so a
-    wrapper installed there sees every traced run.
-    """
-    recs = {variant: TraceRecorder() for variant in variants}
-    if "hardened" in recs or "classic" in recs:
-        _curve.scalar_mul_ladder(k, curve, recorder=recs.get("hardened"),
-                                 baseline=recs.get("classic"))
-    if "comb" in recs:
-        _curve.scalar_mul_comb(k, curve, recorder=recs["comb"])
-    return recs
-
-
 def record_ladder_trace(k: int, variant: str = "hardened",
                         curve=_curve.SECP256K1) -> TraceRecorder:
-    """The trace of one scalar multiplication of `variant`."""
-    _check_variants((variant,))
-    return _record(k, (variant,), curve)[variant]
+    """The trace of one scalar multiplication of `variant`: "hardened"
+    (the balanced ladder), "classic" (that run's baseline view) or
+    "comb" (the fixed-base comb)."""
+    rec = TraceRecorder()
+    if variant == "hardened":
+        _curve.scalar_mul_ladder(k, curve, recorder=rec)
+    elif variant == "classic":
+        _curve.scalar_mul_ladder(k, curve, baseline=rec)
+    elif variant == "comb":
+        _curve.scalar_mul_comb(k, curve, recorder=rec)
+    else:
+        raise ValueError("variant must be 'hardened', 'classic' or 'comb'")
+    return rec
 
 
 def _register_mse_max(traces) -> float:
@@ -125,10 +112,8 @@ class UniformityReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        """Every non-classic variant has one shape; a report with none,
-        which only the API can ask for, passes vacuously."""
-        return all(s.shapes_equal for v, s in self.stats.items()
-                   if v != "classic")
+        """The hardened traces share one shape."""
+        return self.stats["hardened"].shapes_equal
 
     def to_text(self) -> str:
         lines = ["ladder trace uniformity report (%d scalars)"
@@ -144,25 +129,27 @@ class UniformityReport(NamedTuple):
         return "\n".join(lines)
 
 
-def uniformity_report(sample_count: int, variants=("hardened", "classic"),
-                      curve=_curve.SECP256K1,
+def uniformity_report(sample_count: int, curve=_curve.SECP256K1,
                       rng: Optional[random.Random] = None) -> UniformityReport:
-    """Draw random scalars and compare the trace shapes per variant.
+    """Draw random scalars and compare the trace shapes of both ladders.
 
-    Each scalar runs at most one ladder, whatever ladder variants are
-    asked for (see _record).
+    Each scalar runs one balanced ladder, which records the hardened
+    trace and the classic baseline. The ladder is looked up on the curve
+    module at call time, so a wrapper installed there sees every run.
     """
     if sample_count < 2:
         raise ValueError("need at least 2 samples to compare traces")
-    _check_variants(variants)
     if rng is None:
         rng = random.Random(int.from_bytes(os.urandom(16), "big"))
     n = curve.n.value
     scalars = [rng.randrange(1, n) for _ in range(sample_count)]
-    runs = [_record(k, variants, curve) for k in scalars]
+    runs = []
+    for k in scalars:
+        hardened, classic = TraceRecorder(), TraceRecorder()
+        _curve.scalar_mul_ladder(k, curve, recorder=hardened, baseline=classic)
+        runs.append((hardened, classic))
     stats = {}
-    for variant in runs[0]:
-        traces = [run[variant] for run in runs]
+    for variant, traces in zip(("hardened", "classic"), zip(*runs)):
         shapes = {t.shape for t in traces}
         stats[variant] = VariantStats(
             variant=variant,

@@ -2,10 +2,13 @@
 the uniformity report's figures."""
 
 import hashlib
+import json
 import random
 
 import pytest
 
+from ethcold import curve as curve_module
+from ethcold.cli import main
 from ethcold.curve import (CurveParams, HARDENED_SCHEDULE, IDENTITY,
                            point_add_complete, ProjectivePoint,
                            scalar_mul_classic, scalar_mul_ladder, SECP256K1,
@@ -117,8 +120,7 @@ def test_completeness_same_field_op_sequence_for_special_cases():
 
 
 def test_uniformity_report_passes_for_hardened():
-    report = uniformity_report(6, variants=("hardened",), curve=SMALL,
-                               rng=random.Random(1))
+    report = uniformity_report(6, curve=SMALL, rng=random.Random(1))
     assert report.passed
     stats = report.stats["hardened"]
     assert stats.shapes_equal
@@ -132,13 +134,12 @@ def test_uniformity_report_passes_for_hardened():
 def test_uniformity_report_detects_classic_inequality():
     # two scalars differing in one bit
     rng = random.Random(2)
-    report = uniformity_report(8, variants=("classic",), curve=SMALL, rng=rng)
+    report = uniformity_report(8, curve=SMALL, rng=rng)
     stats = report.stats["classic"]
     assert not stats.shapes_equal
     assert stats.distinct_shapes > 1
     assert stats.mse_op_register_max > 0.0
     assert "NO" in report.to_text()
-    # classic-only reports still "pass": the hardened claim is not under test
     assert report.passed
 
 
@@ -153,16 +154,6 @@ def test_one_bit_difference_detected_in_classic():
 def test_uniformity_report_requires_two_samples():
     with pytest.raises(ValueError):
         uniformity_report(1)
-
-
-@pytest.mark.parametrize("variants", [("hardened", "bogus"), ()])
-def test_uniformity_report_checks_variants_before_any_ladder(variants):
-    rng = random.Random(4)
-    with count_mul_iterations() as counts:
-        with pytest.raises(ValueError):
-            uniformity_report(2, variants=variants, curve=SMALL, rng=rng)
-    assert counts == []
-    assert rng.getstate() == random.Random(4).getstate()
 
 
 def test_export_lines_format():
@@ -225,23 +216,15 @@ def test_shared_run_records_both_standalone_traces():
         assert alone.events == classic.events
 
 
-@pytest.mark.parametrize("samples, variants", [
-    pytest.param(2, ("hardened", "classic"), id="2"),
-    pytest.param(5, ("hardened", "classic"), id="5"),
-    pytest.param(2, ("hardened",), id="hardened-2"),
-    pytest.param(5, ("hardened",), id="hardened-5"),
-    pytest.param(2, ("classic",), id="classic-2"),
-    pytest.param(5, ("classic",), id="classic-5"),
-])
-def test_report_on_both_ladders_runs_one_ladder_per_scalar(samples, variants):
-    """Every ladder trace comes from one balanced run: a report on either
-    ladder or on both costs one balanced ladder per scalar."""
+@pytest.mark.parametrize("samples", [2, 5])
+def test_report_on_both_ladders_runs_one_ladder_per_scalar(samples):
+    """Every ladder trace comes from one balanced run: a report on both
+    ladders costs one balanced ladder per scalar."""
     with count_mul_iterations() as one:
         scalar_mul_ladder(1, SMALL)
     assert len(one) == 268
     with count_mul_iterations() as counts:
-        uniformity_report(samples, variants=variants, curve=SMALL,
-                          rng=random.Random(samples))
+        uniformity_report(samples, curve=SMALL, rng=random.Random(samples))
     assert len(counts) == samples * 268
 
 
@@ -255,26 +238,37 @@ def test_report_figures_read_by_the_bench_trace_check(
     """(shapes_equal, distinct_shapes, mse_op_count_max,
     mse_op_register_max) per variant, exactly; the register figure is
     compared float-exactly with an independent classic-ladder model."""
-    report = uniformity_report(6, variants=("hardened", "classic", "comb"),
-                               curve=SMALL, rng=random.Random(seed))
+    report = uniformity_report(6, curve=SMALL, rng=random.Random(seed))
     assert report.passed is True
     figures = {v: (s.shapes_equal, s.distinct_shapes, s.mse_op_count_max,
                    s.mse_op_register_max) for v, s in report.stats.items()}
     assert figures == {
         "hardened": (True, 1, 0.0, 0.0),
         "classic": (False, classic_shapes, 0.0, classic_register_mse),
-        "comb": (True, 1, 0.0, 0.0),
     }
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_both_ladder_report_matches_single_variant_reports(seed):
-    both = uniformity_report(6, curve=SMALL, rng=random.Random(seed))
-    assert list(both.stats) == ["hardened", "classic"]
-    for variant, stats in both.stats.items():
-        alone = uniformity_report(6, variants=(variant,), curve=SMALL,
-                                  rng=random.Random(seed))
-        assert alone.stats[variant] == stats
+def test_report_fails_when_hardened_shapes_differ(monkeypatch, capsys):
+    """A ladder that writes one extra hardened event for the second scalar
+    fails the report, its text and `ethcold trace` (exit 4)."""
+    ladder = curve_module.scalar_mul_ladder
+    calls = []
+
+    def uneven_ladder(k, curve, recorder=None, baseline=None):
+        point = ladder(k, curve, recorder=recorder, baseline=baseline)
+        calls.append(k)
+        if len(calls) % 2 == 0:
+            recorder.record(0, "PA0", "point-add", "R0", 0)
+        return point
+
+    monkeypatch.setattr(curve_module, "scalar_mul_ladder", uneven_ladder)
+    report = uniformity_report(2, curve=SMALL, rng=random.Random(1))
+    assert report.passed is False
+    assert report.stats["hardened"].distinct_shapes == 2
+    assert report.to_text().endswith("result: FAIL")
+    assert main(["--json", "trace", "--samples", "2"]) == 4
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+    assert len(calls) == 4
 
 
 def test_recorder_single_ownership_contract():
@@ -318,16 +312,6 @@ def test_comb_trace_rejects_invalid_scalars():
     for k in (0, SECP256K1.n.value):
         with pytest.raises(InvalidScalarError):
             record_ladder_trace(k, "comb")
-
-
-def test_uniformity_report_covers_comb():
-    report = uniformity_report(6, variants=("comb", "classic"), curve=SMALL,
-                               rng=random.Random(3))
-    stats = report.stats["comb"]
-    assert stats.shapes_equal
-    assert stats.mse_op_count_max == 0.0
-    assert stats.mse_op_register_max == 0.0
-    assert report.passed
 
 
 # --- schedule table and golden traces ---
