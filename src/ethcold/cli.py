@@ -66,6 +66,14 @@ def ascii_int(text: str) -> int:
     return int(text)
 
 
+def _wallet_parser(sub, name, help_text):
+    """A subcommand that runs on the session's wallet or on --mnemonic."""
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--mnemonic", help="wallet mnemonic (if no session)")
+    p.add_argument("--passphrase", default=None)
+    return p
+
+
 @functools.cache
 def _build_parser():
     """The one parser of this process; parse_args leaves it unchanged, so
@@ -92,29 +100,24 @@ def _build_parser():
     p.add_argument("--mnemonic", required=True)
     p.add_argument("--passphrase", default="")
 
-    for name, help_text in (("derive", "derive accounts along m/44'/60'/0'/0/i"),
-                            ("list", "print account records"),
-                            ("sign", "sign a 32-byte digest")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--mnemonic", help="wallet mnemonic (if no session)")
-        p.add_argument("--passphrase", default=None)
-        if name == "derive":
-            p.add_argument("--count", type=ascii_int, required=True,
-                           help="accounts to derive, 1 to %d" % MAX_COUNT)
-        if name == "list":
-            p.add_argument("--count", type=ascii_int, default=None,
-                           help="derive accounts up to this many first, "
-                                "1 to %d" % MAX_COUNT)
-            p.add_argument("--export-private", action="store_true")
-            p.add_argument("--i-understand-risks", action="store_true")
-        if name == "sign":
-            p.add_argument("--index", type=ascii_int, required=True,
-                           help="account index i of m/44'/60'/0'/0/i, "
-                                "below 2^31")
-            p.add_argument("--digest", required=True,
-                           help="32-byte hash to sign, as hex")
-            p.add_argument("--deterministic", action="store_true",
-                           help="RFC 6979 nonce instead of OS randomness")
+    p = _wallet_parser(sub, "derive", "derive accounts along m/44'/60'/0'/0/i")
+    p.add_argument("--count", type=ascii_int, required=True,
+                   help="accounts to derive, 1 to %d" % MAX_COUNT)
+
+    p = _wallet_parser(sub, "list", "print account records")
+    p.add_argument("--count", type=ascii_int, default=None,
+                   help="derive accounts up to this many first, "
+                        "1 to %d" % MAX_COUNT)
+    p.add_argument("--export-private", action="store_true")
+    p.add_argument("--i-understand-risks", action="store_true")
+
+    p = _wallet_parser(sub, "sign", "sign a 32-byte digest")
+    p.add_argument("--index", type=ascii_int, required=True,
+                   help="account index i of m/44'/60'/0'/0/i, below 2^31")
+    p.add_argument("--digest", required=True,
+                   help="32-byte hash to sign, as hex")
+    p.add_argument("--deterministic", action="store_true",
+                   help="RFC 6979 nonce instead of OS randomness")
 
     p = sub.add_parser("trace", help="ladder operation-trace uniformity report")
     p.add_argument("--samples", type=ascii_int, required=True,
@@ -187,6 +190,9 @@ def _cmd_derive(args, session):
     return EXIT_OK
 
 
+_NO_ACCOUNTS = "no accounts to list: pass --count or run derive first"
+
+
 def _cmd_list(args, session):
     # refused before the wallet loads, so a refusal stretches no seed
     if args.export_private and not args.i_understand_risks:
@@ -194,10 +200,12 @@ def _cmd_list(args, session):
               file=sys.stderr)
         return EXIT_USAGE
     _check_count(args.count)
+    # a wallet reloaded from --mnemonic has no accounts yet
+    if args.count is None and args.mnemonic is not None:
+        raise ValidationError(_NO_ACCOUNTS)
     store = _wallet_for(args, session)
     if args.count is None and not store.accounts:
-        raise ValidationError("no accounts to list: pass --count or run "
-                              "derive first")
+        raise ValidationError(_NO_ACCOUNTS)
     if args.count is not None and len(store.accounts) < args.count:
         store.generate(args.count - len(store.accounts))
     records = [a.record(include_private=args.export_private)

@@ -25,7 +25,7 @@ from ethcold.hd import (ckd_priv, derive_path, ETH_BASE_PATH,
 from ethcold.kdf import hmac_sha512, pbkdf2_hmac_sha512
 from ethcold.keccak import keccak256
 from ethcold.keystore import Keystore
-from ethcold.trace import record_ladder_trace, TraceRecorder
+from ethcold.trace import TraceRecorder
 
 import oracle
 import vectors
@@ -210,23 +210,24 @@ def test_criterion_3_small_curve_exhaustive_oracle():
 def test_criterion_4_ladder_uniformity():
     started = time.monotonic()
     rng = random.Random(0xEC)
-    scalars = [rng.randrange(1, N) for _ in range(100)]
-    traces = []
+    # an adversarial pair, 2^254 + 1 and 2^255 - 1, then 100 random keys
+    scalars = [(1 << 254) + 1, (1 << 255) - 1]
+    scalars += [rng.randrange(1, N) for _ in range(100)]
+    traces, baselines = [], []
     for k in scalars:
-        # one run gives both the point and its trace
-        rec = TraceRecorder()
-        point = scalar_mul_ladder(k, recorder=rec)
+        # one run gives the point, its trace and the classic baseline
+        rec, baseline = TraceRecorder(), TraceRecorder()
+        point = scalar_mul_ladder(k, recorder=rec, baseline=baseline)
         assert (point.x, point.y) == oracle.ec_mul(k)
         assert is_on_curve(point)
         traces.append(rec)
+        baselines.append(baseline)
 
     shapes = {t.shape for t in traces}
     assert len(shapes) == 1, "hardened shapes differ between keys"
 
-    # the classic baseline leaks for an adversarial scalar pair
-    c1 = record_ladder_trace((1 << 254) + 1, "classic")
-    c2 = record_ladder_trace((1 << 255) - 1, "classic")
-    assert c1.shape != c2.shape
+    # the classic baseline leaks for the adversarial pair
+    assert baselines[0].shape != baselines[1].shape
     _report(4, "ladder trace uniformity", started)
 
 
@@ -303,7 +304,7 @@ def test_criterion_6_end_to_end_determinism():
     _report(6, "end-to-end determinism", started)
 
 
-def test_criterion_7_path_cache_optimization(monkeypatch):
+def test_criterion_7_kept_parent_node(monkeypatch):
     started = time.monotonic()
     master = master_from_seed(bytes.fromhex(
         vectors.ETH_ZERO_ENTROPY_24["seed"]))
@@ -324,11 +325,11 @@ def test_criterion_7_path_cache_optimization(monkeypatch):
     assert store.account(7) is seventh
     assert len(calls) == 7, "a kept account must cost no CKD"
 
-    # transparency: the kept parent gives the uncached path's keys
+    # transparency: the kept parent gives derive_path's keys
     for account in (first, second, seventh):
         node = derive_path(master, ETH_BASE_PATH + (account.index,))
         assert account.key_int == node.key
-    _report(7, "partial-path cache optimization", started)
+    _report(7, "kept parent node", started)
 
 
 def test_criterion_8_field_arithmetic_properties():

@@ -22,11 +22,6 @@ def test_infinity_has_no_address():
         pubkey_to_address(AffinePoint(0, 0, True))
 
 
-def test_distinct_points_distinct_addresses():
-    seen = {pubkey_to_address(public_point(k)) for k in (1, 2, 3)}
-    assert len(seen) == 3
-
-
 def test_all_digit_address_unchanged():
     raw = bytes.fromhex("1234567890" * 4)
     got = to_checksum_address(raw)
@@ -35,30 +30,11 @@ def test_all_digit_address_unchanged():
 
 def test_checksum_idempotent_under_lowercasing():
     rng = random.Random(6)
-    for _ in range(50):
-        raw = rng.randbytes(20)
+    # an all-letter address first: every nibble may change case
+    for raw in [b"\xff" * 20] + [rng.randbytes(20) for _ in range(50)]:
         once = to_checksum_address(raw)
         again = to_checksum_address(bytes.fromhex(once[2:].lower()))
         assert once == again
-
-
-def test_case_pattern_is_pure():
-    raw = bytes.fromhex("5aaeb6053f3e94c9b9a09f33669435e7ef1beaed")
-    assert to_checksum_address(raw) == to_checksum_address(raw)
-
-
-def test_uppercase_is_fixed_ascii_offset():
-    for c in "abcdef":
-        assert ord(c) - 0x20 == ord(c.upper())
-    raw = bytes.fromhex("ff" * 20)
-    checksummed = to_checksum_address(raw)[2:]
-    for c in checksummed:
-        assert c.lower() in "0123456789abcdef"
-
-
-def test_round_trip_parse():
-    raw = bytes.fromhex("fb6916095ca1df60bb79ce92ce3ea74c37c5d359")
-    assert bytes.fromhex(to_checksum_address(raw)[2:]) == raw
 
 
 def test_wrong_length_rejected():

@@ -119,6 +119,29 @@ def test_private_export_requires_acknowledgement(capsys, monkeypatch):
     assert rows[0]["private_key"] == V12["key0"]
 
 
+def test_list_reloaded_from_mnemonic_needs_count_before_loading(
+        capsys, monkeypatch):
+    """A wallet reloaded from --mnemonic has no accounts yet, so list
+    without --count exits 3 before any seed is stretched, and a session's
+    wallet stays as it was."""
+    session = Session()
+    assert run(capsys, ["derive", "--mnemonic", V12["mnemonic"],
+                        "--count", "1"], session)[0] == 0
+    kept = session.keystore
+
+    def no_seed(*args, **kwargs):
+        raise AssertionError("the wallet loaded before the refusal")
+    monkeypatch.setattr(ethcold.bip39, "mnemonic_to_seed", no_seed)
+    for on in (None, session):
+        code, out, err = run(capsys, ["list", "--mnemonic", V12["mnemonic"]],
+                             on)
+        assert code == 3
+        assert out == ""
+        assert "--count" in err
+    assert session.keystore is kept
+    assert [a.index for a in kept.accounts] == [0]
+
+
 def test_no_private_material_without_override(capsys):
     session = Session()
     run(capsys, ["init", "--entropy-hex", ZERO_ENT_HEX], session)

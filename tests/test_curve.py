@@ -1,14 +1,16 @@
-"""secp256k1 group arithmetic tests against the double-and-add oracle."""
+"""Curve arithmetic tests against the double-and-add oracle, on secp256k1
+and on the mod-103 test curve."""
 
 import random
 
 import pytest
 
 from ethcold.curve import (_comb_table, _select, _signed_digits,
-                           AffinePoint, CurveParams, IDENTITY, is_on_curve,
-                           point_add_complete, ProjectivePoint,
-                           scalar_mul_classic, scalar_mul_comb,
-                           scalar_mul_ladder, SECP256K1, to_affine)
+                           AffinePoint, CurveParams, HARDENED_SCHEDULE,
+                           IDENTITY, is_on_curve, point_add_complete,
+                           ProjectivePoint, R0, R1, scalar_mul_classic,
+                           scalar_mul_comb, scalar_mul_ladder, SECP256K1,
+                           to_affine)
 from ethcold.errors import InvalidScalarError
 from ethcold.field import count_mul_iterations, Modulus, NativeModulus
 from ethcold.selftest import _ALL_ROWS_K
@@ -84,21 +86,6 @@ def test_to_affine_identity_and_unit_z():
     assert as_tuple(to_affine(G, SECP256K1)) == (SECP256K1.gx, SECP256K1.gy)
 
 
-def test_ladder_k1_is_generator():
-    assert as_tuple(scalar_mul_ladder(1)) == (SECP256K1.gx, SECP256K1.gy)
-    assert as_tuple(scalar_mul_classic(1)) == (SECP256K1.gx, SECP256K1.gy)
-
-
-def test_scalar_edge_cases_from_table():
-    for k in (0, N):
-        with pytest.raises(InvalidScalarError):
-            scalar_mul_ladder(k)
-        with pytest.raises(InvalidScalarError):
-            scalar_mul_classic(k)
-    # n+1 wraps around and behaves like k=1
-    assert as_tuple(scalar_mul_ladder(N + 1)) == (SECP256K1.gx, SECP256K1.gy)
-
-
 # --- fixed-base comb ---
 
 COMB_EDGE_SCALARS = {"1": 1, "2": 2, "n_minus_1": N - 1, "n_plus_1": N + 1,
@@ -116,9 +103,11 @@ def test_comb_matches_ladder_and_oracle_on_edge_table():
 
 
 def test_comb_rejects_zero_and_order():
-    for k in (0, N):
-        with pytest.raises(InvalidScalarError):
-            scalar_mul_comb(k)
+    """The classic ladder's view refuses them too."""
+    for mul in (scalar_mul_comb, scalar_mul_classic):
+        for k in (0, N):
+            with pytest.raises(InvalidScalarError):
+                mul(k)
 
 
 def test_comb_matches_oracle_on_random_scalars():
@@ -155,6 +144,31 @@ def _small_curves():
     return [(_small_curve(), g, 2),
             (CurveParams(p=Modulus(sc["p"]), n=Modulus(37),
                          b=sc["b"], gx=g3[0], gy=g3[1]), g3, 1)]
+
+
+def test_ladder_state_invariant_r1_minus_r0_is_base_point():
+    """After every iteration R1 - R0 equals the ladder input point.
+
+    The hardened schedule's rows run over the affine oracle's addition,
+    so every intermediate register value is visible.
+    """
+    small = _small_curve()
+    sc = vectors.SMALL_CURVE
+    p = sc["p"]
+    g = (sc["gx"], sc["gy"])
+    neg_g = (sc["gx"], (-sc["gy"]) % p)
+    rng = random.Random(9)
+    for k in list(range(1, 8)) + [rng.randrange(1, sc["order"])
+                                  for _ in range(20)]:
+        bits = format(k, "0%db" % small.scalar_bits)
+        regs = ([g, oracle.ec_add(g, g, p), None] if bits[0] == "1"
+                else [None, g, None])
+        for bit in bits[1:]:
+            for _slot, _op, a, b, dst, _port in HARDENED_SCHEDULE[int(bit)]:
+                regs[dst] = oracle.ec_add(regs[a], regs[b], p)
+            assert oracle.ec_add(regs[R1], neg_g, p) == regs[R0]
+        got = scalar_mul_ladder(k, small)
+        assert regs[R0] == (None if got.infinity else (got.x, got.y))
 
 
 def test_comb_agrees_with_ladder_on_small_curve_for_every_scalar():

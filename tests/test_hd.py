@@ -118,7 +118,7 @@ def test_path_parse_errors():
             parse_path(bad)
 
 
-def test_derive_path_without_cache():
+def test_derive_path_folds_ckd():
     master = master_from_seed(b"\x11" * 64)
     node = derive_path(master, parse_path("m/0'/1"))
     step = ckd_priv(ckd_priv(master, HARDENED), 1)

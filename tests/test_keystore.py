@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from ethcold.bip39 import mnemonic_to_seed
 from ethcold.errors import DerivationError, ValidationError, WalletError
 from ethcold.field import count_mul_iterations
 import ethcold.hd
@@ -22,13 +21,6 @@ def _store():
     return Keystore(master_from_seed(bytes.fromhex(V24["seed"])))
 
 
-def test_generate_one_account():
-    store = _store()
-    accounts = store.generate(1)
-    assert len(accounts) == 1
-    assert accounts[0].index == 0
-
-
 def test_zero_entropy_accounts_match_oracle():
     store = _store()
     store.generate(3)
@@ -37,18 +29,6 @@ def test_zero_entropy_accounts_match_oracle():
         assert account.address == expected["address"]
         assert account.public_key.hex() == expected["pub_compressed"]
         assert account.private_key.hex() == expected["key"]
-
-
-def test_seed_derives_from_mnemonic():
-    seed = mnemonic_to_seed(V24["mnemonic"])
-    assert seed.hex() == V24["seed"]
-
-
-def test_three_accounts_distinct():
-    store = _store()
-    store.generate(3)
-    addresses = {a.address for a in store.accounts}
-    assert len(addresses) == 3
 
 
 def test_select_matches_list_rows():
@@ -61,15 +41,6 @@ def test_select_matches_list_rows():
                                     "address": account.address}
 
 
-def test_export_omits_private_keys_by_default():
-    store = _store()
-    store.generate(2)
-    for account in store.accounts:
-        record = account.record()
-        assert "private_key" not in record
-        assert account.private_key.hex() not in record.values()
-
-
 def test_export_private_override():
     store = _store()
     store.generate(1)
@@ -77,17 +48,6 @@ def test_export_private_override():
     record = account.record(include_private=True)
     assert list(record) == ["index", "public_key", "address", "private_key"]
     assert record["private_key"] == account.private_key.hex()
-
-
-def test_regeneration_is_deterministic():
-    first = _store()
-    second = _store()
-    first.generate(2)
-    second.generate(2)
-    assert [a.address for a in first.accounts] == \
-        [a.address for a in second.accounts]
-    assert [bytes(a.private_key) for a in first.accounts] == \
-        [bytes(a.private_key) for a in second.accounts]
 
 
 def test_incremental_generation_continues_indices():
