@@ -22,6 +22,11 @@ def test_infinity_has_no_address():
         pubkey_to_address(AffinePoint(0, 0, True))
 
 
+def test_distinct_points_distinct_addresses():
+    seen = {pubkey_to_address(public_point(k)) for k in (1, 2, 3)}
+    assert len(seen) == 3
+
+
 def test_all_digit_address_unchanged():
     raw = bytes.fromhex("1234567890" * 4)
     got = to_checksum_address(raw)
@@ -35,6 +40,11 @@ def test_checksum_idempotent_under_lowercasing():
         once = to_checksum_address(raw)
         again = to_checksum_address(bytes.fromhex(once[2:].lower()))
         assert once == again
+
+
+def test_round_trip_parse():
+    raw = bytes.fromhex("fb6916095ca1df60bb79ce92ce3ea74c37c5d359")
+    assert bytes.fromhex(to_checksum_address(raw)[2:]) == raw
 
 
 def test_wrong_length_rejected():

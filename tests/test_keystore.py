@@ -41,6 +41,15 @@ def test_select_matches_list_rows():
                                     "address": account.address}
 
 
+def test_export_omits_private_keys_by_default():
+    store = _store()
+    store.generate(2)
+    for account in store.accounts:
+        record = account.record()
+        assert "private_key" not in record
+        assert account.private_key.hex() not in record.values()
+
+
 def test_export_private_override():
     store = _store()
     store.generate(1)
@@ -48,6 +57,17 @@ def test_export_private_override():
     record = account.record(include_private=True)
     assert list(record) == ["index", "public_key", "address", "private_key"]
     assert record["private_key"] == account.private_key.hex()
+
+
+def test_regeneration_is_deterministic():
+    first = _store()
+    second = _store()
+    first.generate(2)
+    second.generate(2)
+    assert [a.address for a in first.accounts] == \
+        [a.address for a in second.accounts]
+    assert [bytes(a.private_key) for a in first.accounts] == \
+        [bytes(a.private_key) for a in second.accounts]
 
 
 def test_incremental_generation_continues_indices():

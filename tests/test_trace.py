@@ -126,6 +126,18 @@ def test_uniformity_report_requires_two_samples():
         uniformity_report(1)
 
 
+def test_export_lines_format():
+    trace = record_ladder_trace(9, "hardened", SMALL)
+    lines = list(trace.export_lines())
+    assert len(lines) == len(trace.events)
+    first = lines[0].split()
+    assert first[0] == "0"
+    assert first[1] == "PA0"
+    assert first[2] == "point-add"
+    assert first[3] == "R0"
+    assert first[4].isdigit()
+
+
 # --- one balanced run records both ladders ---
 
 def _weight(pt):
@@ -270,6 +282,12 @@ def test_comb_shapes_equal_on_small_curve_all_scalars():
     shapes = {record_ladder_trace(k, "comb", SMALL).shape
               for k in range(1, SC["order"])}
     assert len(shapes) == 1
+
+
+def test_comb_trace_rejects_invalid_scalars():
+    for k in (0, SECP256K1.n.value):
+        with pytest.raises(InvalidScalarError):
+            record_ladder_trace(k, "comb")
 
 
 # --- schedule table and golden traces ---
