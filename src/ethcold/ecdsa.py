@@ -141,7 +141,11 @@ def verify(pub: AffinePoint, z: bytes, sig) -> bool:
         return False
     if not isinstance(z, (bytes, bytearray)) or len(z) != 32:
         return False
-    if not isinstance(pub, AffinePoint) or pub.infinity or not is_on_curve(pub):
+    if not isinstance(pub, AffinePoint) or pub.infinity:
+        return False
+    if not isinstance(pub.x, int) or not isinstance(pub.y, int):
+        return False
+    if not is_on_curve(pub):
         return False
     e = int.from_bytes(z, "big") % _N
     w = pow(s, -1, _N)

@@ -211,8 +211,8 @@ def test_sign_negative_index(capsys):
 def test_sign_far_index_costs_what_index_0_costs(capsys):
     """sign derives m/44'/60'/0'/0/i alone, not the i accounts below it."""
     digest = "ab" * 32
-    key = oracle.bip44_eth_key(bytes.fromhex(V12["seed"]), 1_000_000)
-    r, s, parity = oracle.ecdsa_sign_deterministic(key, bytes.fromhex(digest))
+    key = oracle.bench.Node.master(bytes.fromhex(V12["seed"])).path(
+        oracle.bench.ETH_BASE_PATH + (1_000_000,)).key
     costs = []
     for index in ("0", "1000000"):
         with count_mul_iterations() as counts:
@@ -221,8 +221,7 @@ def test_sign_far_index_costs_what_index_0_costs(capsys):
                                         "--digest", digest, "--deterministic"])
         assert code == 0
         costs.append(len(counts))
-    assert json.loads(out) == {"r": "%064x" % r, "s": "%064x" % s,
-                               "parity": parity}
+    assert json.loads(out) == oracle.bench.sign(key, bytes.fromhex(digest))
     # two combs for the parent path (m/44'/60'/0', /0; the account's own
     # public point is never read), one for the nonce point and two
     # multiplies for its affine y

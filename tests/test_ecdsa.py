@@ -75,7 +75,7 @@ def test_rfc6979_nonces_match_oracle():
     for _ in range(25):
         d = rng.randrange(1, N)
         z = rng.randbytes(32)
-        assert rfc6979_nonce(d, z) == oracle.rfc6979_k(d, z)
+        assert rfc6979_nonce(d, z) == oracle.bench.rfc6979_nonce(d, z)
 
 
 def test_sign_verify_round_trips():
@@ -107,7 +107,7 @@ def test_parity_matches_nonce_point():
         d = int(case["d"], 16)
         z = bytes.fromhex(case["z"])
         k = int(case["k"], 16)
-        x, y = oracle.ec_mul(k)
+        x, y = oracle.bench.ec_mul(k)
         s_raw = pow(k, -1, N) * (int.from_bytes(z, "big") + x % N * d) % N
         sig = sign(d, z, nonce_source=oracle.FixedNonce([k]))
         assert sig.y_parity == (y & 1) ^ (s_raw > N // 2)
@@ -169,6 +169,8 @@ def test_verify_rejects_malformed_inputs():
     assert not verify((pub.x, pub.y), Z1, sig)            # bare tuple pubkey
     assert not verify(AffinePoint(0, 0, True), Z1, sig)   # infinity pubkey
     assert not verify(AffinePoint(5, 7), Z1, sig)         # point off curve
+    assert not verify(AffinePoint(str(pub.x), pub.y), Z1, sig)  # str x
+    assert not verify(AffinePoint(None, None), Z1, sig)   # no coordinates
     assert not verify(public_point(d + 1), Z1, sig)       # wrong key
 
 

@@ -184,7 +184,8 @@ def test_cached_equals_uncached_derivations():
 
 
 def _oracle_key(index):
-    return oracle.bip44_eth_key(bytes.fromhex(V24["seed"]), index)
+    return oracle.bench.Node.master(bytes.fromhex(V24["seed"])).path(
+        oracle.bench.ETH_BASE_PATH + (index,)).key
 
 
 def test_account_derives_one_index_directly():

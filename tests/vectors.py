@@ -2,8 +2,9 @@
 
 Computed once with independent tooling (arbitrary-precision integer
 arithmetic, the standard library's hashlib/hmac, and a third-party
-Keccak implementation) and frozen here. The derivations live in
-tests/oracle.py so properties can also be checked live.
+Keccak implementation) and frozen here. The live reference route is
+bench/oracle.py, loaded by tests/oracle.py, so properties can also be
+checked live.
 """
 
 SCALAR_MULT = {
@@ -506,8 +507,6 @@ EIP55_ADDRESSES = [
 ]
 
 KECCAK_EXTRA = {
-    "empty": "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470",
-    "abc": "4e03657aea45a94fc7d47ba826c8d667c0d1e6e33a64a036ec44f58fa12d6c45",
     "zero_byte": "bc36789e7a1e281436464229828f817d6612f7b477d66591ff96a9e064bcc98a",
     "range256": "dc924469b334aed2a19fac7252e9961aea41f8d91996366029dbe0884229bf36",
     "a135": "34367dc248bbd832f4e3e69dfaac2f92638bd0bbd18f2912ba4ef454919cf446",
