@@ -7,7 +7,7 @@ PBKDF2-HMAC-SHA512(sentence, "mnemonic" || passphrase, 2048, 64), over the
 UTF-8 bytes of the NFKD-normalized sentence and passphrase.
 """
 
-import importlib.resources
+import os
 import unicodedata
 from hashlib import sha256
 
@@ -22,11 +22,16 @@ _WORD_INDEX = None
 
 
 def load_wordlist() -> tuple:
-    """The 2048-entry English wordlist, loaded once from package data."""
+    """The 2048-entry English wordlist, loaded once from package data.
+
+    The file is read through this module's own loader, which reads plain
+    files and zip archives (a wheel on PYTHONPATH) alike.
+    """
     global _WORDLIST, _WORD_INDEX
     if _WORDLIST is None:
-        text = (importlib.resources.files("ethcold") / "wordlist" /
-                "english.txt").read_text("utf-8")
+        path = os.path.join(os.path.dirname(__file__), "wordlist",
+                            "english.txt")
+        text = __spec__.loader.get_data(path).decode("utf-8")
         words = tuple(text.split())
         if len(words) != 2048:
             raise RuntimeError("wordlist must have 2048 entries, found %d"

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import zipfile
 
 import ethcold
 from ethcold import cli
@@ -469,18 +470,60 @@ def _process_env():
     return env
 
 
-def test_cli_import_skips_dataclasses_and_inspect(tmp_path):
-    """A fresh process pays for every module the CLI imports; dataclasses
-    pulls in inspect, ast, dis and tokenize, and the wallet needs none of
-    them. -S leaves out the modules site imports."""
-    code = ("import ethcold.cli, sys; "
-            "print(' '.join(m for m in ('dataclasses', 'inspect') "
-            "if m in sys.modules))")
+def _modules_added(statement, tmp_path):
+    """The modules a fresh process holds after `statement` and not before;
+    -S leaves out the modules site imports."""
+    code = ("import sys; before = set(sys.modules); %s; "
+            "print(' '.join(sorted(set(sys.modules) - before)))" % statement)
     proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
                           env=_process_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return set(proc.stdout.split())
+
+
+def test_cli_import_skips_dataclasses_and_inspect(tmp_path):
+    """A fresh process pays for every module it imports. The package loads
+    a submodule on first use, so the wordlist route compiles no curve,
+    signing or trace code; dataclasses pulls in inspect, ast, dis and
+    tokenize, importlib.resources a dozen more, and the CLI needs none of
+    them."""
+    def ethcold_modules(statement):
+        return {m for m in _modules_added(statement, tmp_path)
+                if m.partition(".")[0] == "ethcold"}
+
+    assert ethcold_modules("import ethcold") == {"ethcold"}
+    assert ethcold_modules("import ethcold.bip39") == {
+        "ethcold", "ethcold.bip39", "ethcold.errors", "ethcold.kdf"}
+    assert not {"importlib.resources", "dataclasses", "inspect"} & \
+        _modules_added("import ethcold.cli", tmp_path)
+
+
+def test_package_runs_from_a_zip_archive(tmp_path):
+    """A wheel on PYTHONPATH is a zip archive: the wordlist comes through
+    the zip importer, and -S keeps any installed copy off the path."""
+    package = pathlib.Path(ethcold.__file__).parent
+    archive = tmp_path / "ethcold.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in package.rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(package.parent))
+    env = dict(os.environ, PYTHONPATH=str(archive))
+    code = ("import ethcold.bip39 as b; "
+            "print(b.__file__, len(b.load_wordlist()))")
+    proc = subprocess.run([sys.executable, "-S", "-W", "error", "-c", code],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    module_file, words = proc.stdout.split()
+    assert module_file.startswith(str(archive)) and words == "2048"
+    proc = subprocess.run([sys.executable, "-S", "-W", "error", "-m",
+                           "ethcold.cli", "--json", "list", "--mnemonic",
+                           V12["mnemonic"], "--count", "1"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)[0]["address"] == V12["address0"]
 
 
 def test_list_as_a_process(tmp_path):
