@@ -28,15 +28,14 @@ EXIT_VALIDATION = 3
 EXIT_CRYPTO = 4
 
 # The most accounts one derive or list command may ask for. Only list
-# --count runs a comb per account (about half a minute for all of them);
-# derive reads no public key. A larger --count exits 3 before any
-# derivation.
+# --count runs a comb per account (about 7 s for all 1000); derive reads
+# no public key. A larger --count exits 3 before any derivation.
 MAX_COUNT = 1000
 
 # The most scalars one trace command may ask for: one balanced ladder per
-# scalar records both ladders' traces, about 31 s (0.31 s a scalar on a shared
-# 2-vCPU x86-64 box, Python 3.11). A larger --samples exits 3 before any
-# scalar is drawn.
+# scalar records both ladders' traces, about 15 s for all 100 (both times
+# on a shared 2-vCPU x86-64 box, Python 3.11). A larger --samples exits 3
+# before any scalar is drawn.
 MAX_SAMPLES = 100
 
 
@@ -129,7 +128,7 @@ def _build_parser():
 
 def _emit(args, payload, lines):
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps(payload, allow_nan=False))
     else:
         for line in lines:
             print(line)
@@ -234,8 +233,11 @@ def _cmd_trace(args, session):
     if not 2 <= args.samples <= MAX_SAMPLES:
         raise ValidationError("--samples must be in [2, %d]" % MAX_SAMPLES)
     report = uniformity_report(args.samples)
-    payload = {"passed": report.passed,
-               "variants": {v: s._asdict() for v, s in report.stats.items()}}
+    # JSON has no infinity: the MSE of unequal-length traces is null
+    payload = {"passed": report.passed, "variants": {
+        v: {k: None if x == float("inf") else x
+            for k, x in s._asdict().items()}
+        for v, s in report.stats.items()}}
     _emit(args, payload, [report.to_text()])
     return EXIT_OK if report.passed else EXIT_CRYPTO
 

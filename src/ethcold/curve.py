@@ -21,12 +21,13 @@ Two scalar multiplications run on that schedule:
   operation set. The classic two-operation ladder, the side-channel
   baseline, is a view of that run: its trace goes to a second recorder.
 
-The ladder is data: HARDENED_SCHEDULE holds, for each key bit, the row
-of register operations and trace ports of one iteration. Key
-independence is then a static fact: the two rows differ only in
-register indices, never in slot, operation or port. A classic row is
-the same row without its dummy write into Rt, each event naming the
-register it writes.
+The ladder is data: LADDER_OPS holds the three operations of one
+iteration once, each as (slot, op kind, trace port), and LADDER_ROUTES
+holds, for each key bit, only the registers each operation reads and
+writes. The key bit picks a route and nothing else, so no slot,
+operation or port can depend on it. A classic row is the same row
+without its dummy write into Rt, each event naming the register it
+writes.
 
 The identity is (0 : 1 : 0). One binary inversion at the very end maps
 (X : Y : Z) to affine (X/Z, Y/Z).
@@ -214,24 +215,17 @@ def _finish(r0: ProjectivePoint, curve: CurveParams, recorder,
     return result
 
 
-# Ladder schedule. rows[bit] lists, in program order, the point operations
-# of one iteration for that key bit as (slot, op_kind, a, b, dst, port):
-# regs[dst] = regs[a] + regs[b] over the registers [R0, R1, Rt], and the
-# trace event names the write port `port`.
+# Ladder schedule. LADDER_OPS lists one iteration's point operations in
+# program order as (slot, op_kind, port), for both key bits.
+# LADDER_ROUTES[bit] gives each one's registers (a, b, dst) over [R0, R1,
+# Rt]: regs[dst] = regs[a] + regs[b], and the trace event names the port.
 R0, R1, RT = 0, 1, 2
 REGISTER_NAMES = ("R0", "R1", "Rt")
-
-# Balanced ladder: the key bit only steers which registers feed and take
-# each operation. The ports are the architectural ones (PA0 -> R0,
-# PA1 -> R1, the dummy second doubling -> Rt), the same for both bits.
-HARDENED_SCHEDULE = (
-    (("PA0", "point-add", R0, R1, R1, "R0"),
-     ("PA1", "point-double", R0, R0, R0, "R1"),
-     ("PA0", "point-double", R1, R1, RT, "Rt")),
-    (("PA0", "point-add", R0, R1, R0, "R0"),
-     ("PA1", "point-double", R1, R1, R1, "R1"),
-     ("PA0", "point-double", R0, R0, RT, "Rt")),
-)
+LADDER_OPS = (("PA0", "point-add", "R0"),
+              ("PA1", "point-double", "R1"),
+              ("PA0", "point-double", "Rt"))
+LADDER_ROUTES = (((R0, R1, R1), (R0, R0, R0), (R1, R1, RT)),
+                 ((R0, R1, R0), (R1, R1, R1), (R0, R0, RT)))
 
 
 def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
@@ -241,12 +235,12 @@ def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
     The scalar is processed at fixed length: the top bit is absorbed by
     the initialisation, which always computes 2G (complete formulas make
     the identity a safe ladder operand when it is 0), and the loop always
-    runs one HARDENED_SCHEDULE row for each of the scalar_bits-1 bits
-    below it. Each row performs one point addition and two point
-    doublings; the second doubling is the dummy write into Rt that keeps
-    both branches' operation sets identical. Trace events carry the
-    architectural write ports (PA0 -> R0, PA1 -> R1, second pass -> Rt);
-    the key bit only steers internal multiplexers.
+    runs one row for each of the scalar_bits-1 bits below it: the
+    LADDER_OPS (one point addition, two point doublings) over the bit's
+    LADDER_ROUTES entry. The second doubling is the dummy write into Rt
+    that keeps both branches' operation sets identical. Trace events
+    carry the architectural write ports (PA0 -> R0, PA1 -> R1, second
+    pass -> Rt); the key bit only steers internal multiplexers.
 
     A ``baseline`` recorder takes the classic ladder's trace of k from
     this same run: a classic row is the hardened row without its dummy
@@ -258,7 +252,8 @@ def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
     g2 = point_add_complete(g, g, curve)
     regs = [g, g2, IDENTITY] if bits[0] == "1" else [IDENTITY, g, IDENTITY]
     for i, bit in enumerate(bits[1:]):
-        for slot, op_kind, a, b, dst, port in HARDENED_SCHEDULE[int(bit)]:
+        for (slot, op_kind, port), (a, b, dst) in zip(
+                LADDER_OPS, LADDER_ROUTES[int(bit)]):
             regs[dst] = point_add_complete(regs[a], regs[b], curve)
             weight = _point_weight(regs[dst])
             if recorder is not None:

@@ -4,15 +4,16 @@ A TraceRecorder passed to a ladder or to the fixed-base comb as its
 recorder collects one event per point operation: (iteration, slot, op
 kind, destination register, Hamming weight of the written value), and is
 itself the trace: it gives the shape and the export lines. For the
-ladders the slot, op kind and register come from the row of the curve
-module's schedule table that the key bit selects. The shape of a trace
-is the event sequence with weights erased; for the balanced ladder and
-the comb it depends only on the fixed scalar width, never on key bits,
-which is the testable core of the design's leakage claim. The classic
-ladder's shape follows the key and serves as the baseline. Each classic
-row is the balanced row without its dummy write, so every classic trace
-is recorded from a balanced run, and one balanced ladder per scalar
-gives both ladders' traces.
+balanced ladder the slot, op kind and register (the write port) come
+from the curve module's LADDER_OPS, the same for every key bit, which
+only picks the registers that the classic baseline names. The shape of
+a trace is the event sequence with weights erased; for the balanced
+ladder and the comb it depends only on the fixed scalar width, never on
+key bits, which is the testable core of the design's leakage claim. The
+classic ladder's shape follows the key and serves as the baseline. Each
+classic row is the balanced row without its dummy write, so every
+classic trace is recorded from a balanced run, and one balanced ladder
+per scalar gives both ladders' traces.
 
 The uniformity report runs one balanced ladder per random scalar and
 compares its two traces, hardened and classic, by shape and by the mean
@@ -28,7 +29,6 @@ from typing import NamedTuple, Optional
 from . import curve as _curve
 
 OP_KINDS = ("point-add", "point-double", "field-mul")
-REGISTERS = _curve.REGISTER_NAMES
 
 
 class TraceEvent(NamedTuple):
@@ -84,9 +84,10 @@ def record_ladder_trace(k: int, variant: str = "hardened",
 
 def _register_mse_max(traces) -> float:
     """Largest mean square difference of per-event ids (OP_KINDS index * 8
-    + REGISTERS index + 1) against the first trace; inf if lengths differ."""
-    ids = [[OP_KINDS.index(e.op_kind) * 8 + REGISTERS.index(e.dest_register)
-            + 1 for e in t.events] for t in traces]
+    + register index + 1) against the first trace; inf if lengths differ."""
+    ids = [[OP_KINDS.index(e.op_kind) * 8
+            + _curve.REGISTER_NAMES.index(e.dest_register) + 1
+            for e in t.events] for t in traces]
     base = ids[0]
     worst = 0.0
     for other in ids[1:]:

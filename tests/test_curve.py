@@ -6,8 +6,8 @@ import random
 import pytest
 
 from ethcold.curve import (_comb_table, _select, _signed_digits,
-                           AffinePoint, CurveParams, HARDENED_SCHEDULE,
-                           IDENTITY, is_on_curve, point_add_complete,
+                           AffinePoint, CurveParams, IDENTITY,
+                           is_on_curve, LADDER_ROUTES, point_add_complete,
                            ProjectivePoint, R0, R1, scalar_mul_classic,
                            scalar_mul_comb, scalar_mul_ladder, SECP256K1,
                            to_affine)
@@ -149,7 +149,7 @@ def _small_curves():
 def test_ladder_state_invariant_r1_minus_r0_is_base_point():
     """After every iteration R1 - R0 equals the ladder input point.
 
-    The hardened schedule's rows run over the affine oracle's addition,
+    Each bit's register route runs over the affine oracle's addition,
     so every intermediate register value is visible.
     """
     small = _small_curve()
@@ -164,7 +164,7 @@ def test_ladder_state_invariant_r1_minus_r0_is_base_point():
         regs = ([g, oracle.ec_add(g, g, p), None] if bits[0] == "1"
                 else [None, g, None])
         for bit in bits[1:]:
-            for _slot, _op, a, b, dst, _port in HARDENED_SCHEDULE[int(bit)]:
+            for a, b, dst in LADDER_ROUTES[int(bit)]:
                 regs[dst] = oracle.ec_add(regs[a], regs[b], p)
             assert oracle.ec_add(regs[R1], neg_g, p) == regs[R0]
         got = scalar_mul_ladder(k, small)

@@ -9,8 +9,8 @@ import pytest
 
 from ethcold import curve as curve_module
 from ethcold.cli import main
-from ethcold.curve import (CurveParams, HARDENED_SCHEDULE, IDENTITY,
-                           point_add_complete, ProjectivePoint,
+from ethcold.curve import (CurveParams, IDENTITY, LADDER_ROUTES,
+                           point_add_complete, ProjectivePoint, R0, R1, RT,
                            scalar_mul_classic, scalar_mul_ladder, SECP256K1,
                            to_affine)
 from ethcold.errors import InvalidScalarError
@@ -226,7 +226,8 @@ def test_report_figures_read_by_the_bench_trace_check(
 
 def test_report_fails_when_hardened_shapes_differ(monkeypatch, capsys):
     """A ladder that writes one extra hardened event for the second scalar
-    fails the report, its text and `ethcold trace` (exit 4)."""
+    fails the report, its text and `ethcold trace` (exit 4), whose JSON
+    stays strict: the infinite MSE figures are written as null."""
     ladder = curve_module.scalar_mul_ladder
     calls = []
 
@@ -243,7 +244,15 @@ def test_report_fails_when_hardened_shapes_differ(monkeypatch, capsys):
     assert report.stats["hardened"].distinct_shapes == 2
     assert report.to_text().endswith("result: FAIL")
     assert main(["--json", "trace", "--samples", "2"]) == 4
-    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+    def reject(constant):
+        raise ValueError("not strict JSON: %s" % constant)
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["passed"] is False
+    hardened = payload["variants"]["hardened"]
+    assert hardened["mse_op_count_max"] is None
+    assert hardened["mse_op_register_max"] is None
     assert len(calls) == 4
 
 
@@ -290,16 +299,14 @@ def test_comb_trace_rejects_invalid_scalars():
             record_ladder_trace(k, "comb")
 
 
-# --- schedule table and golden traces ---
+# --- ladder routes and golden traces ---
 
-def _projection(row):
-    return [(slot, op_kind, port) for slot, op_kind, _a, _b, _dst, port in row]
-
-
-def test_hardened_schedule_rows_agree_on_slot_op_and_port():
-    """Static key independence: the bit steers register indices only."""
-    assert _projection(HARDENED_SCHEDULE[0]) == \
-        _projection(HARDENED_SCHEDULE[1])
+def test_ladder_routes_write_each_register_once_and_never_read_rt():
+    """Each bit's route writes R0, R1 and Rt once and reads only R0 and
+    R1: Rt is write-only, so the dummy doubling never feeds a result."""
+    for route in LADDER_ROUTES:
+        assert sorted(dst for _a, _b, dst in route) == [R0, R1, RT]
+        assert {r for a, b, _dst in route for r in (a, b)} <= {R0, R1}
 
 
 # sha256 over export_lines() (each line plus "\n"), for every scalar
