@@ -1,19 +1,15 @@
 """secp256k1 group arithmetic on projective points with complete addition.
 
-Point addition is a single branch-free schedule of 33 field operations
-(valid for every input pair, including doubling, inverses and the
-identity); doubling is the same schedule applied to (P, P).
+Point addition is data: ADD_SCHEDULE lists one branch-free schedule of
+33 field operations as register transfers, valid for every input pair
+(doubling, inverses and the identity included), and point_add_complete
+runs its rows in order. Doubling is that schedule applied to (P, P).
 
 Two scalar multiplications run on that schedule:
 
-- A fixed-base comb computes every k*G the wallet needs. The scalar is
-  recoded into signed 7-bit digits d in [-63, 64]; each window selects
-  |d| * 2^(7j) * G from a table by a scan over all 65 entries of its
-  row, negates y by a mask when d < 0, and adds the point with one
-  complete addition. Every key runs the same sequence: one addition per
-  window (37 on secp256k1, 518 multiplies), then one inversion and 2
-  multiplies, 520 in all. Each table entry is one packed int, and the
-  table is built with one shared inversion per digit step.
+- A fixed-base comb (scalar_mul_comb) computes every k*G the wallet
+  needs: per signed 7-bit window, one table read by a scan over the
+  whole row and one complete addition, the same sequence for every key.
 - A fixed-length Montgomery ladder computes the same k*G, as the comb's
   reference and the trace harness's subject: every iteration performs
   one addition and two doublings, the second doubling landing in a
@@ -21,13 +17,11 @@ Two scalar multiplications run on that schedule:
   operation set. The classic two-operation ladder, the side-channel
   baseline, is a view of that run: its trace goes to a second recorder.
 
-The ladder is data: LADDER_OPS holds the three operations of one
-iteration once, each as (slot, op kind, trace port), and LADDER_ROUTES
-holds, for each key bit, only the registers each operation reads and
-writes. The key bit picks a route and nothing else, so no slot,
-operation or port can depend on it. A classic row is the same row
-without its dummy write into Rt, each event naming the register it
-writes.
+The ladder is data too: LADDER_OPS holds one iteration's three
+operations once, each as (slot, op kind, trace port), and LADDER_ROUTES
+holds per key bit only the registers each reads and writes, so no slot,
+operation or port can depend on the key. A classic row is the same row
+without its dummy write into Rt, each event naming the register it writes.
 
 The identity is (0 : 1 : 0). One binary inversion at the very end maps
 (X : Y : Z) to affine (X/Z, Y/Z).
@@ -111,57 +105,63 @@ SECP256K1 = CurveParams(
 )
 
 
+# Complete addition schedule (Renes, Costello and Batina, EUROCRYPT 2016,
+# Alg. 7 for a = 0). ADD_SCHEDULE lists its field operations in program
+# order as (op, dst, a, b): regs[dst] = (add, sub, mul)[op](regs[a],
+# regs[b]) mod p. X1..Z2 hold the operands and B3 holds 3b; no row writes
+# them. The multiplier scans its second operand, so B3 goes second: b3 = 21
+# on secp256k1 has three set bits, so 3 of its 256 steps add, not ~128.
+ADD, SUB, MUL = 0, 1, 2
+X1, Y1, Z1, X2, Y2, Z2, B3, T0, T1, T2, T3, T4, X3, Y3, Z3 = range(15)
+ADD_SCHEDULE = ((MUL, T0, X1, X2),
+                (MUL, T1, Y1, Y2),
+                (MUL, T2, Z1, Z2),
+                (ADD, T3, X1, Y1),
+                (ADD, T4, X2, Y2),
+                (MUL, T3, T3, T4),
+                (ADD, T4, T0, T1),
+                (SUB, T3, T3, T4),
+                (ADD, T4, Y1, Z1),
+                (ADD, X3, Y2, Z2),
+                (MUL, T4, T4, X3),
+                (ADD, X3, T1, T2),
+                (SUB, T4, T4, X3),
+                (ADD, X3, X1, Z1),
+                (ADD, Y3, X2, Z2),
+                (MUL, X3, X3, Y3),
+                (ADD, Y3, T0, T2),
+                (SUB, Y3, X3, Y3),
+                (ADD, X3, T0, T0),
+                (ADD, T0, X3, T0),
+                (MUL, T2, T2, B3),
+                (ADD, Z3, T1, T2),
+                (SUB, T1, T1, T2),
+                (MUL, Y3, Y3, B3),
+                (MUL, X3, T4, Y3),
+                (MUL, T2, T3, T1),
+                (SUB, X3, T2, X3),
+                (MUL, Y3, Y3, T0),
+                (MUL, T1, T1, Z3),
+                (ADD, Y3, T1, Y3),
+                (MUL, T0, T0, T3),
+                (MUL, Z3, Z3, T4),
+                (ADD, Z3, Z3, T0))
+
+
 def point_add_complete(P: ProjectivePoint, Q: ProjectivePoint,
                        curve: CurveParams = SECP256K1) -> ProjectivePoint:
     """Complete projective addition for y^2 = x^3 + b curves.
 
-    The schedule below is executed verbatim for every input pair, P == Q
-    included; there is no branching on operand values.
+    The ADD_SCHEDULE rows run verbatim for every input pair, P == Q
+    included, as register transfers over curve.p's add, sub and mul
+    (looked up on each call); there is no branching on operand values.
     """
     mod = curve.p
-    madd, msub, mmul = mod.add, mod.sub, mod.mul
-
-    x1, y1, z1 = P
-    x2, y2, z2 = Q
-    b3 = curve.b3
-
-    t0 = mmul(x1, x2)
-    t1 = mmul(y1, y2)
-    t2 = mmul(z1, z2)
-    t3 = madd(x1, y1)
-    t4 = madd(x2, y2)
-    t3 = mmul(t3, t4)
-    t4 = madd(t0, t1)
-    t3 = msub(t3, t4)
-    t4 = madd(y1, z1)
-    x3 = madd(y2, z2)
-    t4 = mmul(t4, x3)
-    x3 = madd(t1, t2)
-    t4 = msub(t4, x3)
-    x3 = madd(x1, z1)
-    y3 = madd(x2, z2)
-    x3 = mmul(x3, y3)
-    y3 = madd(t0, t2)
-    y3 = msub(x3, y3)
-    x3 = madd(t0, t0)
-    t0 = madd(x3, t0)
-    # the multiplier scans its second operand, so b3 goes second: b3 = 21
-    # on secp256k1 has three set bits, so 3 of its 256 steps add, not ~128
-    t2 = mmul(t2, b3)
-    z3 = madd(t1, t2)
-    t1 = msub(t1, t2)
-    y3 = mmul(y3, b3)
-    x3 = mmul(t4, y3)
-    t2 = mmul(t3, t1)
-    x3 = msub(t2, x3)
-    y3 = mmul(y3, t0)
-    t1 = mmul(t1, z3)
-    y3 = madd(t1, y3)
-    t0 = mmul(t0, t3)
-    z3 = mmul(z3, t4)
-    z3 = madd(z3, t0)
-
-    return ProjectivePoint(x3, y3, z3)
+    ops = (mod.add, mod.sub, mod.mul)
+    regs = [*P, *Q, curve.b3] + [0] * 8
+    for op, dst, a, b in ADD_SCHEDULE:
+        regs[dst] = ops[op](regs[a], regs[b])
+    return ProjectivePoint(*regs[X3:])
 
 
 def to_affine(P: ProjectivePoint,

@@ -9,10 +9,11 @@ import pytest
 
 from ethcold import curve as curve_module
 from ethcold.cli import main
-from ethcold.curve import (CurveParams, IDENTITY, LADDER_ROUTES,
-                           point_add_complete, ProjectivePoint, R0, R1, RT,
-                           scalar_mul_classic, scalar_mul_ladder, SECP256K1,
-                           to_affine)
+from ethcold.curve import (ADD, ADD_SCHEDULE, B3, CurveParams, IDENTITY,
+                           LADDER_ROUTES, MUL, point_add_complete,
+                           ProjectivePoint, R0, R1, RT, scalar_mul_classic,
+                           scalar_mul_ladder, SECP256K1, SUB, to_affine, X1,
+                           X2, Y1, Y2, Z1, Z2)
 from ethcold.errors import InvalidScalarError
 from ethcold.field import count_mul_iterations, Modulus, SECP256K1_P
 from ethcold.trace import record_ladder_trace, TraceRecorder, uniformity_report
@@ -92,25 +93,36 @@ class LoggingModulus(Modulus):
         return super().mul(a, b)
 
 
+def test_add_schedule_shape():
+    """33 rows (14 MUL, 14 ADD, 5 SUB) that never write an input or B3,
+    read only inputs or registers an earlier row wrote, and pass B3 only
+    as the scanned second operand of a MUL."""
+    ops = [op for op, _dst, _a, _b in ADD_SCHEDULE]
+    assert (len(ops), ops.count(MUL), ops.count(ADD), ops.count(SUB)) == \
+        (33, 14, 14, 5)
+    inputs = {X1, Y1, Z1, X2, Y2, Z2, B3}
+    written = set()
+    for op, dst, a, b in ADD_SCHEDULE:
+        assert {a, b} <= inputs | written
+        assert a != B3 and (b != B3 or op == MUL)
+        assert dst not in inputs
+        written.add(dst)
+
+
 def test_completeness_same_field_op_sequence_for_special_cases():
-    """P+Q, P+P, P+(-P), P+O all run the identical 33-step schedule."""
+    """P+Q, P+P, P+(-P), P+O all run the ADD_SCHEDULE ops in order."""
     logged = LoggingModulus(SECP256K1_P)
     curve = CurveParams(p=logged, n=SECP256K1.n, b=SECP256K1.b,
                         gx=SECP256K1.gx, gy=SECP256K1.gy)
     g = SECP256K1.generator
     neg_g = ProjectivePoint(SECP256K1.gx,
                             SECP256K1.p.value - SECP256K1.gy, 1)
-    sequences = []
+    names = {ADD: "field-add", SUB: "field-sub", MUL: "field-mul"}
+    schedule = [names[op] for op, _dst, _a, _b in ADD_SCHEDULE]
     for q in (point_add_complete(g, g), g, neg_g, IDENTITY):
         logged.ops.clear()
         point_add_complete(g, q, curve)
-        sequences.append(tuple(logged.ops))
-    assert len(set(sequences)) == 1
-    schedule = sequences[0]
-    assert len(schedule) == 33
-    assert schedule.count("field-mul") == 14
-    assert schedule.count("field-add") == 19 - schedule.count("field-sub")
-    assert schedule.count("field-sub") == 5
+        assert logged.ops == schedule
 
 
 def test_one_bit_difference_detected_in_classic():
