@@ -21,8 +21,8 @@ _EXPORTS = {
     "bip39": ("entropy_to_mnemonic", "mnemonic_to_entropy",
               "mnemonic_to_seed"),
     "curve": ("AffinePoint", "CurveParams", "point_add_complete",
-              "ProjectivePoint", "scalar_mul_classic", "scalar_mul_comb",
-              "scalar_mul_ladder", "SECP256K1", "to_affine"),
+              "ProjectivePoint", "scalar_mul_comb", "scalar_mul_ladder",
+              "SECP256K1", "to_affine"),
     "ecdsa": ("RandomNonce", "Rfc6979Nonce", "rfc6979_nonce", "Signature",
               "sign", "verify"),
     "errors": ("CryptoError", "DerivationError", "InvalidKeyError",

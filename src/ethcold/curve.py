@@ -14,14 +14,14 @@ Two scalar multiplications run on that schedule:
   reference and the trace harness's subject: every iteration performs
   one addition and two doublings, the second doubling landing in a
   temporary register so both key-bit branches exercise the same
-  operation set. The classic two-operation ladder, the side-channel
-  baseline, is a view of that run: its trace goes to a second recorder.
+  operation set.
 
 The ladder is data too: LADDER_OPS holds one iteration's three
 operations once, each as (slot, op kind, trace port), and LADDER_ROUTES
 holds per key bit only the registers each reads and writes, so no slot,
-operation or port can depend on the key. A classic row is the same row
-without its dummy write into Rt, each event naming the register it writes.
+operation or port can depend on the key. Each event also names the
+physical register written, which the key steers: the trace module reads
+the classic two-operation ladder, the leaky reference, off it.
 
 The identity is (0 : 1 : 0). One binary inversion at the very end maps
 (X : Y : Z) to affine (X/Z, Y/Z).
@@ -204,21 +204,20 @@ def _normalize_scalar(k: int, curve: CurveParams) -> str:
 
 
 def _finish(r0: ProjectivePoint, curve: CurveParams, recorder,
-            iteration: int, baseline=None) -> AffinePoint:
-    """The BIA tail of every scalar multiply: R0 to affine, two events
-    on each recorder given."""
+            iteration: int) -> AffinePoint:
+    """The BIA tail of every scalar multiply: R0 to affine, two events."""
     result = to_affine(r0, curve)
-    for rec in (recorder, baseline):
-        if rec is not None:
-            rec.record(iteration, "BIA", "field-mul", "R0", result.x.bit_count())
-            rec.record(iteration, "BIA", "field-mul", "R0", result.y.bit_count())
+    if recorder is not None:
+        for c in (result.x, result.y):
+            recorder.record(iteration, "BIA", "field-mul", "R0",
+                            c.bit_count(), "R0")
     return result
 
 
 # Ladder schedule. LADDER_OPS lists one iteration's point operations in
 # program order as (slot, op_kind, port), for both key bits.
 # LADDER_ROUTES[bit] gives each one's registers (a, b, dst) over [R0, R1,
-# Rt]: regs[dst] = regs[a] + regs[b], and the trace event names the port.
+# Rt]: regs[dst] = regs[a] + regs[b]; an event names the port, then dst.
 R0, R1, RT = 0, 1, 2
 REGISTER_NAMES = ("R0", "R1", "Rt")
 LADDER_OPS = (("PA0", "point-add", "R0"),
@@ -229,47 +228,40 @@ LADDER_ROUTES = (((R0, R1, R1), (R0, R0, R0), (R1, R1, RT)),
 
 
 def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
-                      recorder=None, baseline=None) -> AffinePoint:
+                      recorder=None) -> AffinePoint:
     """k*G by the balanced Montgomery ladder with a temporary register.
 
     The scalar is processed at fixed length: the top bit is absorbed by
-    the initialisation, which always computes 2G (complete formulas make
-    the identity a safe ladder operand when it is 0), and the loop always
-    runs one row for each of the scalar_bits-1 bits below it: the
-    LADDER_OPS (one point addition, two point doublings) over the bit's
+    the initialisation, which always computes 2G and selects (R0, R1) =
+    (G, 2G) or (O, G) by a mask on each coordinate (complete formulas
+    make the identity a safe ladder operand), and the loop always runs
+    one row for each of the scalar_bits-1 bits below it: the LADDER_OPS
+    (one point addition, two point doublings) over the bit's
     LADDER_ROUTES entry. The second doubling is the dummy write into Rt
-    that keeps both branches' operation sets identical. Trace events
-    carry the architectural write ports (PA0 -> R0, PA1 -> R1, second
-    pass -> Rt); the key bit only steers internal multiplexers.
-
-    A ``baseline`` recorder takes the classic ladder's trace of k from
-    this same run: a classic row is the hardened row without its dummy
-    write into Rt, all in slot PA0, each event naming the register it
-    writes, so the register sequence follows the key bits.
+    that keeps both branches' operation sets identical. Each trace event
+    carries the architectural write port (PA0 -> R0, PA1 -> R1, second
+    pass -> Rt), which no key bit changes, then the physical register
+    written, which the key bit steers through internal multiplexers.
     """
     bits = _normalize_scalar(k, curve)
     g = curve.generator
     g2 = point_add_complete(g, g, curve)
-    regs = [g, g2, IDENTITY] if bits[0] == "1" else [IDENTITY, g, IDENTITY]
+    top = -int(bits[0])
+    regs = [ProjectivePoint(*(b ^ ((a ^ b) & top) for a, b in zip(on, off)))
+            for on, off in ((g, IDENTITY), (g2, g))] + [IDENTITY]
     for i, bit in enumerate(bits[1:]):
         for (slot, op_kind, port), (a, b, dst) in zip(
                 LADDER_OPS, LADDER_ROUTES[int(bit)]):
             regs[dst] = point_add_complete(regs[a], regs[b], curve)
-            weight = _point_weight(regs[dst])
             if recorder is not None:
-                recorder.record(i, slot, op_kind, port, weight)
-            if baseline is not None and dst != RT:
-                baseline.record(i, "PA0", op_kind, REGISTER_NAMES[dst], weight)
-    return _finish(regs[R0], curve, recorder, curve.scalar_bits - 1, baseline)
+                recorder.record(i, slot, op_kind, port,
+                                _point_weight(regs[dst]), REGISTER_NAMES[dst])
+    return _finish(regs[R0], curve, recorder, curve.scalar_bits - 1)
 
 
-def scalar_mul_classic(k: int, curve: CurveParams = SECP256K1,
-                       recorder=None) -> AffinePoint:
-    """k*G with the trace of the conventional two-operation ladder, the
-    leaky baseline: a view of the balanced run, whose ``baseline``
-    recorder logs the classic writes in program order. That register
-    sequence follows the key bits, which is exactly the leak."""
-    return scalar_mul_ladder(k, curve, baseline=recorder)
+# bench/layers.py wraps this name and nothing calls it; it goes when the
+# bench drops that target (ROADMAP item 1(a)).
+scalar_mul_classic = scalar_mul_ladder
 
 
 COMB_WIDTH = 7  # bits per comb window
@@ -429,5 +421,6 @@ def scalar_mul_comb(k: int, curve: CurveParams = SECP256K1,
         y ^= (y ^ sub(0, y)) & -neg
         r0 = point_add_complete(r0, ProjectivePoint(x, y, z), curve)
         if recorder is not None:
-            recorder.record(j, "PA0", "point-add", "R0", _point_weight(r0))
+            recorder.record(j, "PA0", "point-add", "R0", _point_weight(r0),
+                            "R0")
     return _finish(r0, curve, recorder, len(table))

@@ -80,8 +80,7 @@ def serialize_pubkey(pt: AffinePoint) -> bytes:
     """33-byte compressed form: 02/03 parity prefix plus big-endian x."""
     if pt.infinity:
         raise InvalidKeyError("cannot serialize the point at infinity")
-    prefix = b"\x03" if pt.y & 1 else b"\x02"
-    return prefix + to_bytes32(pt.x)
+    return bytes((2 | pt.y & 1,)) + to_bytes32(pt.x)
 
 
 def ckd_priv(parent: ExtendedKey, index: int) -> ExtendedKey:

@@ -2,23 +2,22 @@
 
 A TraceRecorder passed to a ladder or to the fixed-base comb as its
 recorder collects one event per point operation: (iteration, slot, op
-kind, destination register, Hamming weight of the written value), and is
-itself the trace: it gives the shape and the export lines. For the
-balanced ladder the slot, op kind and register (the write port) come
-from the curve module's LADDER_OPS, the same for every key bit, which
-only picks the registers that the classic baseline names. The shape of
-a trace is the event sequence with weights erased; for the balanced
-ladder and the comb it depends only on the fixed scalar width, never on
-key bits, which is the testable core of the design's leakage claim. The
-classic ladder's shape follows the key and serves as the baseline. Each
-classic row is the balanced row without its dummy write, so every
-classic trace is recorded from a balanced run, and one balanced ladder
-per scalar gives both ladders' traces.
+kind, destination register, Hamming weight of the written value,
+physical register written), and is itself the trace. For the balanced
+ladder the slot, op kind and destination (the write port) come from the
+curve module's LADDER_OPS, the same for every key bit, which picks only
+the physical register. The shape of a trace is the first four fields of
+its events; for the balanced ladder and the comb it depends only on the
+fixed scalar width, never on key bits, which is the testable core of the
+design's leakage claim. The classic two-operation ladder, the leaky one,
+is each balanced row without its dummy write into Rt: classic() reads
+it off a balanced trace, naming the physical registers, and its shape
+follows the key.
 
 The uniformity report runs one balanced ladder per random scalar and
-compares its two traces, hardened and classic, by shape and by the mean
+compares its two views, hardened and classic, by shape and by the mean
 square difference of per-event op and register ids against the first
-trace, the feature that separates the classic baseline's traces. It
+trace, the feature that separates the classic ladder's traces. It
 passes when the hardened traces share one shape.
 """
 
@@ -37,6 +36,7 @@ class TraceEvent(NamedTuple):
     op_kind: str
     dest_register: str
     weight: int
+    register: str
 
 
 class TraceRecorder:
@@ -46,9 +46,21 @@ class TraceRecorder:
     def __init__(self):
         self.events = []
 
-    def record(self, iteration, slot, op_kind, dest_register, weight):
-        self.events.append(
-            TraceEvent(iteration, slot, op_kind, dest_register, weight))
+    def record(self, iteration, slot, op_kind, dest_register, weight,
+               register):
+        self.events.append(TraceEvent(iteration, slot, op_kind,
+                                      dest_register, weight, register))
+
+    def classic(self) -> "TraceRecorder":
+        """The classic two-operation ladder's view of this balanced ladder
+        trace: every write but the dummy into Rt, in slot PA0 (BIA stays
+        BIA), each naming the physical register written, so its register
+        sequence follows the key bits, which is exactly the leak."""
+        view = TraceRecorder()
+        view.events = [e._replace(slot="BIA" if e.slot == "BIA" else "PA0",
+                                  dest_register=e.register)
+                       for e in self.events if e.register != "Rt"]
+        return view
 
     @property
     def shape(self) -> tuple:
@@ -68,18 +80,17 @@ class TraceRecorder:
 def record_ladder_trace(k: int, variant: str = "hardened",
                         curve=_curve.SECP256K1) -> TraceRecorder:
     """The trace of one scalar multiplication of `variant`: "hardened"
-    (the balanced ladder), "classic" (that run's baseline view) or
-    "comb" (the fixed-base comb)."""
+    (the balanced ladder), "classic" (that run's classic view) or
+    "comb" (the fixed-base comb). The multiply is looked up on the curve
+    module at call time, so a wrapper installed there sees every run."""
     rec = TraceRecorder()
-    if variant == "hardened":
+    if variant in ("hardened", "classic"):
         _curve.scalar_mul_ladder(k, curve, recorder=rec)
-    elif variant == "classic":
-        _curve.scalar_mul_ladder(k, curve, baseline=rec)
     elif variant == "comb":
         _curve.scalar_mul_comb(k, curve, recorder=rec)
     else:
         raise ValueError("variant must be 'hardened', 'classic' or 'comb'")
-    return rec
+    return rec.classic() if variant == "classic" else rec
 
 
 def _register_mse_max(traces) -> float:
@@ -134,23 +145,19 @@ def uniformity_report(sample_count: int, curve=_curve.SECP256K1,
                       rng: Optional[random.Random] = None) -> UniformityReport:
     """Draw random scalars and compare the trace shapes of both ladders.
 
-    Each scalar runs one balanced ladder, which records the hardened
-    trace and the classic baseline. The ladder is looked up on the curve
-    module at call time, so a wrapper installed there sees every run.
+    Each scalar runs one balanced ladder through record_ladder_trace,
+    whose trace is the hardened view and gives the classic one.
     """
     if sample_count < 2:
         raise ValueError("need at least 2 samples to compare traces")
     if rng is None:
         rng = random.Random(int.from_bytes(os.urandom(16), "big"))
     n = curve.n.value
-    scalars = [rng.randrange(1, n) for _ in range(sample_count)]
-    runs = []
-    for k in scalars:
-        hardened, classic = TraceRecorder(), TraceRecorder()
-        _curve.scalar_mul_ladder(k, curve, recorder=hardened, baseline=classic)
-        runs.append((hardened, classic))
+    hardened = [record_ladder_trace(rng.randrange(1, n), "hardened", curve)
+                for _ in range(sample_count)]
+    views = {"hardened": hardened, "classic": [t.classic() for t in hardened]}
     stats = {}
-    for variant, traces in zip(("hardened", "classic"), zip(*runs)):
+    for variant, traces in views.items():
         shapes = {t.shape for t in traces}
         stats[variant] = VariantStats(
             variant=variant,

@@ -215,13 +215,13 @@ def test_criterion_4_ladder_uniformity():
     scalars += [rng.randrange(1, N) for _ in range(100)]
     traces, baselines = [], []
     for k in scalars:
-        # one run gives the point, its trace and the classic baseline
-        rec, baseline = TraceRecorder(), TraceRecorder()
-        point = scalar_mul_ladder(k, recorder=rec, baseline=baseline)
+        # one run gives the point, its trace and the classic baseline view
+        rec = TraceRecorder()
+        point = scalar_mul_ladder(k, recorder=rec)
         assert (point.x, point.y) == oracle.bench.ec_mul(k)
         assert is_on_curve(point)
         traces.append(rec)
-        baselines.append(baseline)
+        baselines.append(rec.classic())
 
     shapes = {t.shape for t in traces}
     assert len(shapes) == 1, "hardened shapes differ between keys"

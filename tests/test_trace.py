@@ -11,9 +11,8 @@ from ethcold import curve as curve_module
 from ethcold.cli import main
 from ethcold.curve import (ADD, ADD_SCHEDULE, B3, CurveParams, IDENTITY,
                            LADDER_ROUTES, MUL, point_add_complete,
-                           ProjectivePoint, R0, R1, RT, scalar_mul_classic,
-                           scalar_mul_ladder, SECP256K1, SUB, to_affine, X1,
-                           X2, Y1, Y2, Z1, Z2)
+                           ProjectivePoint, R0, R1, RT, scalar_mul_ladder,
+                           SECP256K1, SUB, to_affine, X1, X2, Y1, Y2, Z1, Z2)
 from ethcold.errors import InvalidScalarError
 from ethcold.field import count_mul_iterations, Modulus, SECP256K1_P
 from ethcold.trace import record_ladder_trace, TraceRecorder, uniformity_report
@@ -159,7 +158,8 @@ def _weight(pt):
 def test_baseline_is_the_classic_two_operation_ladder():
     """The classic ladder written out (Joye and Yen): key bit b adds
     R0 + R1 into R(1-b), then doubles R(b), each event naming the
-    register written. The balanced run's baseline records exactly that."""
+    register written. The classic view of the balanced run is exactly
+    that, and the run computes the same point."""
     g = SMALL.generator
     for k in range(1, SC["order"]):
         bits = format(k, "0%db" % SMALL.scalar_bits)
@@ -169,33 +169,32 @@ def test_baseline_is_the_classic_two_operation_ladder():
         for i, bit in enumerate(bits[1:]):
             b = int(bit)
             regs[1 - b] = point_add_complete(regs[0], regs[1], SMALL)
-            want.append((i, "PA0", "point-add", "R%d" % (1 - b),
-                         _weight(regs[1 - b])))
+            dst = "R%d" % (1 - b)
+            want.append((i, "PA0", "point-add", dst, _weight(regs[1 - b]),
+                         dst))
             regs[b] = point_add_complete(regs[b], regs[b], SMALL)
-            want.append((i, "PA0", "point-double", "R%d" % b,
-                         _weight(regs[b])))
+            dst = "R%d" % b
+            want.append((i, "PA0", "point-double", dst, _weight(regs[b]),
+                         dst))
         point = to_affine(regs[0], SMALL)
-        want += [(len(bits) - 1, "BIA", "field-mul", "R0", c.bit_count())
-                 for c in (point.x, point.y)]
-        classic = TraceRecorder()
-        assert scalar_mul_ladder(k, SMALL, baseline=classic) == point
-        assert classic.events == want
+        want += [(len(bits) - 1, "BIA", "field-mul", "R0", c.bit_count(),
+                  "R0") for c in (point.x, point.y)]
+        assert scalar_mul_ladder(k, SMALL) == point
+        assert record_ladder_trace(k, "classic", SMALL).events == want
 
 
-def test_shared_run_records_both_standalone_traces():
-    for k in range(1, SC["order"]):
-        hardened, classic = TraceRecorder(), TraceRecorder()
-        point = scalar_mul_ladder(k, SMALL, recorder=hardened,
-                                  baseline=classic)
-        assert point == scalar_mul_ladder(k, SMALL) == \
-            scalar_mul_classic(k, SMALL)
-        assert hardened.events == record_ladder_trace(k, "hardened",
-                                                      SMALL).events
-        assert classic.events == record_ladder_trace(k, "classic",
-                                                     SMALL).events
-        alone = TraceRecorder()
-        scalar_mul_classic(k, SMALL, recorder=alone)
-        assert alone.events == classic.events
+def test_hardened_registers_give_the_key_bits_below_the_top():
+    """The address read (Itoh, Izu and Takenaka, CHES 2002) as a negative
+    control: the balanced ladder's shape hides the key, but its point
+    addition writes R0 exactly when the key bit is 1, so the physical
+    registers of one trace give every key bit below the top."""
+    rng = random.Random(0xADD)
+    for _ in range(3):
+        k = rng.randrange(1, SECP256K1.n.value)
+        trace = record_ladder_trace(k, "hardened", SECP256K1.native)
+        read = "".join("1" if e.register == "R0" else "0"
+                       for e in trace.events if e.op_kind == "point-add")
+        assert read == format(k, "0%db" % SECP256K1.scalar_bits)[1:]
 
 
 @pytest.mark.parametrize("samples", [2, 5])
@@ -243,11 +242,11 @@ def test_report_fails_when_hardened_shapes_differ(monkeypatch, capsys):
     ladder = curve_module.scalar_mul_ladder
     calls = []
 
-    def uneven_ladder(k, curve, recorder=None, baseline=None):
-        point = ladder(k, curve, recorder=recorder, baseline=baseline)
+    def uneven_ladder(k, curve, recorder=None):
+        point = ladder(k, curve, recorder=recorder)
         calls.append(k)
         if len(calls) % 2 == 0:
-            recorder.record(0, "PA0", "point-add", "R0", 0)
+            recorder.record(0, "PA0", "point-add", "R0", 0, "R0")
         return point
 
     monkeypatch.setattr(curve_module, "scalar_mul_ladder", uneven_ladder)
