@@ -17,11 +17,12 @@ Two scalar multiplications run on that schedule:
   operation set.
 
 The ladder is data too: LADDER_OPS holds one iteration's three
-operations once, each as (slot, op kind, trace port), and LADDER_ROUTES
+operations once, each as (slot, op kind, write port), and LADDER_ROUTES
 holds per key bit only the registers each reads and writes, so no slot,
-operation or port can depend on the key. Each event also names the
-physical register written, which the key steers: the trace module reads
-the classic two-operation ladder, the leaky reference, off it.
+operation or port can depend on the key. A recorder is told each write
+as record(iteration, op, register, value): the op row, the index of the
+physical register written, which the key steers, and the value. The
+trace module names the registers and weighs the values.
 
 The identity is (0 : 1 : 0). One binary inversion at the very end maps
 (X : Y : Z) to affine (X/Z, Y/Z).
@@ -184,10 +185,6 @@ def is_on_curve(pt: AffinePoint, curve: CurveParams = SECP256K1) -> bool:
     return (pt.y * pt.y - pt.x ** 3 - curve.b) % p == 0
 
 
-def _point_weight(pt: ProjectivePoint) -> int:
-    return pt.x.bit_count() + pt.y.bit_count() + pt.z.bit_count()
-
-
 def _reduce_scalar(k: int, curve: CurveParams) -> int:
     """Reduce mod n and reject zero."""
     kk = k % curve.n.value
@@ -205,26 +202,26 @@ def _normalize_scalar(k: int, curve: CurveParams) -> str:
 
 def _finish(r0: ProjectivePoint, curve: CurveParams, recorder,
             iteration: int) -> AffinePoint:
-    """The BIA tail of every scalar multiply: R0 to affine, two events."""
+    """The BIA tail of every scalar multiply: R0 to affine, one write of
+    each coordinate."""
     result = to_affine(r0, curve)
     if recorder is not None:
         for c in (result.x, result.y):
-            recorder.record(iteration, "BIA", "field-mul", "R0",
-                            c.bit_count(), "R0")
+            recorder.record(iteration, BIA_OP, R0, (c,))
     return result
 
 
 # Ladder schedule. LADDER_OPS lists one iteration's point operations in
 # program order as (slot, op_kind, port), for both key bits.
 # LADDER_ROUTES[bit] gives each one's registers (a, b, dst) over [R0, R1,
-# Rt]: regs[dst] = regs[a] + regs[b]; an event names the port, then dst.
+# Rt]: regs[dst] = regs[a] + regs[b]. Ports and registers are indices.
 R0, R1, RT = 0, 1, 2
-REGISTER_NAMES = ("R0", "R1", "Rt")
-LADDER_OPS = (("PA0", "point-add", "R0"),
-              ("PA1", "point-double", "R1"),
-              ("PA0", "point-double", "Rt"))
+LADDER_OPS = (("PA0", "point-add", R0),
+              ("PA1", "point-double", R1),
+              ("PA0", "point-double", RT))
 LADDER_ROUTES = (((R0, R1, R1), (R0, R0, R0), (R1, R1, RT)),
                  ((R0, R1, R0), (R1, R1, R1), (R0, R0, RT)))
+BIA_OP = ("BIA", "field-mul", R0)  # _finish's two coordinate writes
 
 
 def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
@@ -238,9 +235,9 @@ def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
     one row for each of the scalar_bits-1 bits below it: the LADDER_OPS
     (one point addition, two point doublings) over the bit's
     LADDER_ROUTES entry. The second doubling is the dummy write into Rt
-    that keeps both branches' operation sets identical. Each trace event
-    carries the architectural write port (PA0 -> R0, PA1 -> R1, second
-    pass -> Rt), which no key bit changes, then the physical register
+    that keeps both branches' operation sets identical. Each write is
+    reported with its LADDER_OPS row, whose port (PA0 -> R0, PA1 -> R1,
+    second pass -> Rt) no key bit changes, and the physical register
     written, which the key bit steers through internal multiplexers.
     """
     bits = _normalize_scalar(k, curve)
@@ -250,12 +247,10 @@ def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
     regs = [ProjectivePoint(*(b ^ ((a ^ b) & top) for a, b in zip(on, off)))
             for on, off in ((g, IDENTITY), (g2, g))] + [IDENTITY]
     for i, bit in enumerate(bits[1:]):
-        for (slot, op_kind, port), (a, b, dst) in zip(
-                LADDER_OPS, LADDER_ROUTES[int(bit)]):
+        for op, (a, b, dst) in zip(LADDER_OPS, LADDER_ROUTES[int(bit)]):
             regs[dst] = point_add_complete(regs[a], regs[b], curve)
             if recorder is not None:
-                recorder.record(i, slot, op_kind, port,
-                                _point_weight(regs[dst]), REGISTER_NAMES[dst])
+                recorder.record(i, op, dst, regs[dst])
     return _finish(regs[R0], curve, recorder, curve.scalar_bits - 1)
 
 
@@ -421,6 +416,5 @@ def scalar_mul_comb(k: int, curve: CurveParams = SECP256K1,
         y ^= (y ^ sub(0, y)) & -neg
         r0 = point_add_complete(r0, ProjectivePoint(x, y, z), curve)
         if recorder is not None:
-            recorder.record(j, "PA0", "point-add", "R0", _point_weight(r0),
-                            "R0")
+            recorder.record(j, LADDER_OPS[0], R0, r0)
     return _finish(r0, curve, recorder, len(table))

@@ -96,7 +96,8 @@ def sign(d: int, z: bytes, nonce_source=None) -> Signature:
 
     Draws k from the nonce source until a candidate in [1, n-1] yields
     r != 0 and s != 0. The result is low-s, as Ethereum requires: s > n/2
-    is replaced by n - s, flipping the recovery parity.
+    is replaced by n - s, flipping the recovery parity, by a mask (all
+    ones when s > n/2) rather than a branch.
     """
     _check_key_and_digest(d, z)
     source = nonce_source if nonce_source is not None else RandomNonce()
@@ -111,11 +112,9 @@ def sign(d: int, z: bytes, nonce_source=None) -> Signature:
         s = ORDER_N.mul(ORDER_N.inv(k), ORDER_N.add(e, ORDER_N.mul(d, r)))
         if s == 0:
             continue
-        parity = pt.y & 1
-        if s > _HALF_N:
-            s = _N - s
-            parity ^= 1
-        return Signature(r, s, parity)
+        m = (_HALF_N - s) >> 256
+        s ^= (s ^ (_N - s)) & m
+        return Signature(r, s, (pt.y & 1) ^ (m & 1))
     raise CryptoError("nonce source exhausted without a valid signature")
 
 

@@ -1,18 +1,19 @@
 """Abstract side-channel model for the scalar multiplications.
 
-A TraceRecorder passed to a ladder or to the fixed-base comb as its
-recorder collects one event per point operation: (iteration, slot, op
-kind, destination register, Hamming weight of the written value,
-physical register written), and is itself the trace. For the balanced
-ladder the slot, op kind and destination (the write port) come from the
-curve module's LADDER_OPS, the same for every key bit, which picks only
-the physical register. The shape of a trace is the first four fields of
-its events; for the balanced ladder and the comb it depends only on the
-fixed scalar width, never on key bits, which is the testable core of the
-design's leakage claim. The classic two-operation ladder, the leaky one,
-is each balanced row without its dummy write into Rt: classic() reads
-it off a balanced trace, naming the physical registers, and its shape
-follows the key.
+A TraceRecorder passed to a ladder or to the fixed-base comb is told
+each register write the curve module makes, by register index and value,
+and is itself the trace. It alone names and weighs them: one event per
+write holds (iteration, slot, op kind, destination register, Hamming
+weight of the written value, physical register written). For the
+balanced ladder the slot, op kind and destination (the write port) come
+from the curve module's LADDER_OPS, the same for every key bit, which
+picks only the physical register. The shape of a trace is the first four
+fields of its events; for the balanced ladder and the comb it depends
+only on the fixed scalar width, never on key bits, which is the testable
+core of the design's leakage claim. The classic two-operation ladder,
+the leaky one, is each balanced row without its dummy write into Rt:
+classic() reads it off a balanced trace, naming the physical registers,
+and its shape follows the key.
 
 The uniformity report runs one balanced ladder per random scalar and
 compares its two views, hardened and classic, by shape and by the mean
@@ -28,6 +29,7 @@ from typing import NamedTuple, Optional
 from . import curve as _curve
 
 OP_KINDS = ("point-add", "point-double", "field-mul")
+REGISTER_NAMES = ("R0", "R1", "Rt")  # indexed by curve.R0, R1, RT
 
 
 class TraceEvent(NamedTuple):
@@ -46,10 +48,13 @@ class TraceRecorder:
     def __init__(self):
         self.events = []
 
-    def record(self, iteration, slot, op_kind, dest_register, weight,
-               register):
-        self.events.append(TraceEvent(iteration, slot, op_kind,
-                                      dest_register, weight, register))
+    def record(self, iteration, op, register, value):
+        """One write: op is a (slot, op kind, port) row, port and register
+        index REGISTER_NAMES, and the weight counts the set bits of value."""
+        slot, op_kind, port = op
+        self.events.append(TraceEvent(
+            iteration, slot, op_kind, REGISTER_NAMES[port],
+            sum(c.bit_count() for c in value), REGISTER_NAMES[register]))
 
     def classic(self) -> "TraceRecorder":
         """The classic two-operation ladder's view of this balanced ladder
@@ -97,7 +102,7 @@ def _register_mse_max(traces) -> float:
     """Largest mean square difference of per-event ids (OP_KINDS index * 8
     + register index + 1) against the first trace; inf if lengths differ."""
     ids = [[OP_KINDS.index(e.op_kind) * 8
-            + _curve.REGISTER_NAMES.index(e.dest_register) + 1
+            + REGISTER_NAMES.index(e.dest_register) + 1
             for e in t.events] for t in traces]
     base = ids[0]
     worst = 0.0

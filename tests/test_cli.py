@@ -8,8 +8,9 @@ import sys
 import zipfile
 
 import ethcold
-from ethcold import cli
+from ethcold import cli, hd, selftest
 from ethcold.cli import main, MAX_COUNT, MAX_SAMPLES, Session
+from ethcold.errors import DerivationError
 from ethcold.field import count_mul_iterations
 
 import oracle
@@ -394,6 +395,40 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "ok   compressed point of n-1" in out
     assert "FAIL" not in out
+
+
+def test_selftest_failures_are_reported_and_exit_4(capsys, monkeypatch):
+    """A wrong digest and a raising MAC fail exactly their own checks;
+    each FAIL line is followed by what was expected and what came."""
+    monkeypatch.setattr(selftest, "keccak256", lambda data: bytes(32))
+
+    def broken_mac(key, msg):
+        raise RuntimeError("broken mac")
+
+    monkeypatch.setattr(selftest, "hmac_sha512", broken_mac)
+    failures = selftest.run_selftest()
+    assert failures == ["keccak256 empty", "keccak256 abc",
+                        "hmac-sha512 rfc4231 case 1"]
+    out = capsys.readouterr().out
+    assert out.count("FAIL") == 3
+    assert "FAIL keccak256 empty\n     expected c5d2" in out
+    assert "     got      " + "00" * 32 in out
+    assert "got      exception: RuntimeError('broken mac')" in out
+    code, out, _ = run(capsys, ["--json", "selftest"])
+    assert code == 4
+    assert json.loads(out) == {"passed": False, "failures": failures}
+
+
+def test_crypto_error_exits_4_with_one_error_line(capsys, monkeypatch):
+    def underivable(parent, index):
+        raise DerivationError("derived key is zero; skip this index")
+
+    monkeypatch.setattr(hd, "ckd_priv", underivable)
+    code, out, err = run(capsys, ["sign", "--index", "0", "--mnemonic",
+                                  V12["mnemonic"], "--digest", "ab" * 32])
+    assert code == 4
+    assert out == ""
+    assert err == "error: derived key is zero; skip this index\n"
 
 
 def test_passphrase_without_mnemonic_exits_3_on_a_session(capsys):

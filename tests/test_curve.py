@@ -2,7 +2,6 @@
 and on the mod-103 test curve."""
 
 import random
-import sys
 
 import pytest
 
@@ -167,42 +166,6 @@ def test_ladder_state_invariant_r1_minus_r0_is_base_point():
             assert oracle.ec_add(regs[R1], neg_g, p) == regs[R0]
         got = scalar_mul_ladder(k, small)
         assert regs[R0] == (None if got.infinity else (got.x, got.y))
-
-
-def _opcode_trace(fn, *args):
-    """(function, bytecode offset) of every opcode fn(*args) runs in
-    curve.py; the field operations it calls, in field.py, are opaque."""
-    log = []
-
-    def local(frame, event, arg):
-        if event == "opcode":
-            log.append((frame.f_code.co_name, frame.f_lasti))
-        return local
-
-    def call(frame, event, arg):
-        if frame.f_code.co_filename.endswith("curve.py"):
-            frame.f_trace_opcodes = True
-            return local
-        return None
-
-    sys.settrace(call)
-    try:
-        fn(*args)
-    finally:
-        sys.settrace(None)
-    return tuple(log)
-
-
-@pytest.mark.parametrize("mul", [scalar_mul_ladder, scalar_mul_comb])
-def test_one_opcode_trace_for_every_scalar_on_small_curve(mul):
-    """The program-counter model at bytecode level: every scalar of the
-    mod-103 curve runs the same opcodes, the ladder's start included (it
-    selects its registers by a mask on the top bit, not by a branch)."""
-    small = _small_curve()
-    _comb_table(small)  # built once per curve, not part of the multiply
-    traces = {_opcode_trace(mul, k, small)
-              for k in range(1, vectors.SMALL_CURVE["order"])}
-    assert len(traces) == 1
 
 
 def test_comb_agrees_with_ladder_on_small_curve_for_every_scalar():

@@ -40,6 +40,17 @@ def test_overrange_nonce_candidates_skipped():
     assert redrawn == good
 
 
+def test_zero_s_is_redrawn():
+    """d = 1 and z = n - r1 make k1 give s = k1^-1 (z + r1) = 0 mod n, so
+    sign draws the next candidate."""
+    k1, k2 = 7, 11
+    r1 = oracle.bench.ec_mul(k1)[0] % N
+    z = ((N - r1) % N).to_bytes(32, "big")
+    sig = sign(1, z, nonce_source=oracle.FixedNonce([k1, k2]))
+    assert sig == sign(1, z, nonce_source=oracle.FixedNonce([k2]))
+    assert verify(public_point(1), z, sig)
+
+
 def test_nonce_source_exhausted():
     with pytest.raises(CryptoError):
         sign(5, Z1, nonce_source=oracle.FixedNonce([0, N]))

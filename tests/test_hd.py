@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from ethcold import hd
 from ethcold.curve import point_add_complete, ProjectivePoint, to_affine
-from ethcold.errors import InvalidKeyError, ValidationError
+from ethcold.errors import DerivationError, InvalidKeyError, ValidationError
 from ethcold.hd import (ckd_priv, derive_path, ETH_BASE_PATH, ExtendedKey,
                         format_path, HARDENED, master_from_seed, parse_path,
                         public_point, serialize_pubkey)
@@ -151,3 +152,32 @@ def test_cached_parent_point_gives_same_child():
     assert parent == fresh and hash(parent) == hash(fresh)
     for index in (0, 3, HARDENED + 2):
         assert ckd_priv(parent, index) == ckd_priv(fresh, index)
+
+
+# --- BIP-32's invalid-key rules, on crafted HMAC digests ---
+
+def _digest(left):
+    """An HMAC-SHA512 output whose left half is `left`."""
+    return to_bytes32(left) + bytes(range(32))
+
+
+@pytest.mark.parametrize("key", [0, SECP256K1_N])
+def test_master_from_seed_rejects_an_invalid_key(monkeypatch, key):
+    monkeypatch.setattr(hd, "hmac_sha512", lambda k, m: _digest(key))
+    with pytest.raises(DerivationError):
+        master_from_seed(bytes(16))
+
+
+@pytest.mark.parametrize("left", [SECP256K1_N, SECP256K1_N - 5],
+                         ids=["il-ge-n", "child-zero"])
+def test_ckd_priv_rejects_an_invalid_child(monkeypatch, left):
+    """IL >= n, and IL + parent key = n (a child key of 0), both raise."""
+    parent = ExtendedKey(key=5, chain_code=bytes(32))
+    monkeypatch.setattr(hd, "hmac_sha512", lambda k, m: _digest(left))
+    with pytest.raises(DerivationError):
+        ckd_priv(parent, HARDENED)
+
+
+def test_ckd_priv_rejects_an_index_of_33_bits():
+    with pytest.raises(ValueError):
+        ckd_priv(ExtendedKey(key=5, chain_code=bytes(32)), 1 << 32)

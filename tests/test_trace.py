@@ -246,7 +246,7 @@ def test_report_fails_when_hardened_shapes_differ(monkeypatch, capsys):
         point = ladder(k, curve, recorder=recorder)
         calls.append(k)
         if len(calls) % 2 == 0:
-            recorder.record(0, "PA0", "point-add", "R0", 0, "R0")
+            recorder.record(0, curve_module.LADDER_OPS[0], R0, IDENTITY)
         return point
 
     monkeypatch.setattr(curve_module, "scalar_mul_ladder", uneven_ladder)
