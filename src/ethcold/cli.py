@@ -3,8 +3,8 @@
 Every command reaches the wallet through a Session: the caller's, when
 main is driven as a library, or a fresh one per invocation. --mnemonic
 (and init/recover) load the wallet into it; no state ever touches disk.
-Exit codes: 0 success, 2 usage, 3 input validation, 4 cryptographic
-rejection.
+Exit codes: 0 success, 2 usage (from argparse only), 3 input
+validation, 4 cryptographic rejection.
 """
 
 import argparse
@@ -127,11 +127,14 @@ def _build_parser():
 
 
 def _emit(args, payload, lines):
-    if args.json:
-        print(json.dumps(payload, allow_nan=False))
-    else:
-        for line in lines:
-            print(line)
+    """The one writer of results. A reader that leaves early ends them
+    quietly: fd 1 goes to devnull, so the exit-time flush cannot raise."""
+    try:
+        print(json.dumps(payload, allow_nan=False) if args.json
+              else "\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _wallet_for(args, session):
@@ -151,9 +154,8 @@ def _wallet_for(args, session):
 def _cmd_init(args, session):
     if args.entropy_hex is not None:
         if args.words is not None:
-            print("--words applies to --random only; --entropy-hex sets "
-                  "the mnemonic length", file=sys.stderr)
-            return EXIT_USAGE
+            _build_parser().error("--words applies to --random only; "
+                                  "--entropy-hex sets the mnemonic length")
         entropy = parse_hex_bytes(args.entropy_hex)
     else:
         entropy = os.urandom(16 if args.words == 12 else 32)
@@ -195,9 +197,8 @@ _NO_ACCOUNTS = "no accounts to list: pass --count or run derive first"
 def _cmd_list(args, session):
     # refused before the wallet loads, so a refusal stretches no seed
     if args.export_private and not args.i_understand_risks:
-        print("refusing to export private keys without --i-understand-risks",
-              file=sys.stderr)
-        return EXIT_USAGE
+        _build_parser().error("refusing to export private keys without "
+                              "--i-understand-risks")
     _check_count(args.count)
     # a wallet reloaded from --mnemonic has no accounts yet
     if args.count is None and args.mnemonic is not None:
@@ -244,8 +245,15 @@ def _cmd_trace(args, session):
 
 def _cmd_selftest(args, session):
     from .selftest import run_selftest
-    failures = run_selftest(quiet=args.json)
-    _emit(args, {"passed": not failures, "failures": failures}, [])
+    lines, failures = [], []
+    for name, expected, got in run_selftest():
+        if got == expected:
+            lines.append("ok   %s" % name)
+        else:
+            failures.append(name)
+            lines += ["FAIL %s" % name, "     expected %s" % expected,
+                      "     got      %s" % got]
+    _emit(args, {"passed": not failures, "failures": failures}, lines)
     return EXIT_OK if not failures else EXIT_CRYPTO
 
 
@@ -261,15 +269,13 @@ _COMMANDS = {
 
 
 def main(argv=None, session=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if session is None:
         session = Session()
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, session)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (ValidationError, ValueError) as exc:
         # a stray ValueError is still bad input, not a traceback
         print("error: %s" % exc, file=sys.stderr)

@@ -90,20 +90,14 @@ def _checks():
            "3a78e73d8ff8ab554e13c10f6390d81a882f91945d6275493882676170b53a57 1")
 
 
-def run_selftest(quiet: bool = False) -> list:
-    """Run every embedded check; returns the list of failed check names."""
-    failures = []
+def run_selftest() -> list:
+    """Run every embedded check; returns (name, expected, got) for each,
+    in order."""
+    results = []
     for name, fn, expected in _checks():
         try:
             got = fn()
         except Exception as exc:  # a failing primitive must not stop the rest
             got = "exception: %r" % exc
-        status = "ok" if got == expected else "FAIL"
-        if got != expected:
-            failures.append(name)
-        if not quiet:
-            print("%-4s %s" % (status, name))
-            if got != expected:
-                print("     expected %s" % expected)
-                print("     got      %s" % got)
-    return failures
+        results.append((name, expected, got))
+    return results

@@ -406,10 +406,12 @@ def test_selftest_failures_are_reported_and_exit_4(capsys, monkeypatch):
         raise RuntimeError("broken mac")
 
     monkeypatch.setattr(selftest, "hmac_sha512", broken_mac)
-    failures = selftest.run_selftest()
+    failures = [name for name, expected, got in selftest.run_selftest()
+                if got != expected]
     assert failures == ["keccak256 empty", "keccak256 abc",
                         "hmac-sha512 rfc4231 case 1"]
-    out = capsys.readouterr().out
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 4
     assert out.count("FAIL") == 3
     assert "FAIL keccak256 empty\n     expected c5d2" in out
     assert "     got      " + "00" * 32 in out
@@ -574,3 +576,21 @@ def test_list_as_a_process(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 3
     assert "--count" in proc.stderr
+
+
+def test_a_reader_that_leaves_ends_the_output_quietly(tmp_path):
+    """A stdout whose reader has gone (`ethcold selftest | true`) is no
+    error of the command's: it keeps its own exit code and writes no
+    traceback."""
+    for argv in (["selftest"], ["--json", "selftest"],
+                 ["list", "--mnemonic", V12["mnemonic"], "--count", "1"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ethcold.cli", *argv],
+                                  cwd=tmp_path, env=_process_env(),
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
