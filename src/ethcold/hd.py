@@ -11,10 +11,10 @@ and keeps it on the key: a normal child reuses its parent's point instead
 of running the comb again. The point lives and dies with its node, so no
 process-wide cache holds keys.
 
-Paths print as m/44'/60'/0'/0/i with an apostrophe marking hardened
-indices. derive_path folds ckd_priv along a path, starting from any node.
-It keeps nothing: the one prefix the package reuses is the keystore's
-node m/44'/60'/0'/0, from which each account is a single CKD.
+Paths print as m/44'/60'/0'/0/i, an apostrophe marking hardened indices;
+parse_path also reads BIP-32's h and H. derive_path folds ckd_priv along
+a path from any node and keeps nothing: the one prefix the package reuses
+is the keystore's node m/44'/60'/0'/0, each account one CKD from it.
 """
 
 import functools
@@ -102,13 +102,13 @@ def ckd_priv(parent: ExtendedKey, index: int) -> ExtendedKey:
 
 
 def parse_path(path: str) -> tuple:
-    """Parse m/44'/60'/0'/0/i into a tuple of 32-bit indices."""
+    """Parse m/44'/60'/0'/0/i into indices; ', h or H mark a hardened one."""
     parts = path.strip().split("/")
     if not parts or parts[0] != "m":
         raise ValidationError("derivation path must start with 'm'")
     out = []
     for part in parts[1:]:
-        hardened = part.endswith("'") or part.endswith("h")
+        hardened = part.endswith(("'", "h", "H"))
         digits = part[:-1] if hardened else part
         # ASCII digits only; an index below 2^31 has at most 10 of them
         if not re.fullmatch(r"[0-9]{1,10}", digits):

@@ -1,11 +1,14 @@
 """CLI tests driven through main(argv, session)."""
 
+import argparse
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import zipfile
+
+import pytest
 
 import ethcold
 from ethcold import cli, hd, selftest
@@ -19,6 +22,8 @@ import vectors
 V24 = vectors.ETH_ZERO_ENTROPY_24
 V12 = vectors.ETH_ZERO_ENTROPY_12
 ZERO_ENT_HEX = "00" * 32
+W12 = ["--mnemonic", V12["mnemonic"]]
+SIGN = ["sign", *W12, "--digest", "ab" * 32, "--index"]
 
 
 def run(capsys, argv, session=None):
@@ -99,49 +104,13 @@ def test_list_text_rows_are_the_json_records_joined(capsys):
             " ".join(str(v) for v in r.values()) for r in records]
 
 
-def test_private_export_requires_acknowledgement(capsys, monkeypatch):
-    """Without --i-understand-risks the export exits 2 before any seed is
-    stretched, with or without --count."""
-    def no_seed(*args, **kwargs):
-        raise AssertionError("the wallet loaded before the refusal")
-    monkeypatch.setattr(ethcold.bip39, "mnemonic_to_seed", no_seed)
-    for count in ([], ["--count", "1"]):
-        code, out, err = run(capsys, ["list", "--mnemonic", V12["mnemonic"],
-                                      "--export-private", *count])
-        assert code == 2, count
-        assert out == ""
-        assert "i-understand-risks" in err
-    monkeypatch.undo()
-
+def test_private_export_with_acknowledgement_prints_the_key(capsys):
     code, out, _ = run(capsys, ["--json", "list", "--mnemonic", V12["mnemonic"],
                                 "--count", "1", "--export-private",
                                 "--i-understand-risks"])
     assert code == 0
     rows = json.loads(out)
     assert rows[0]["private_key"] == V12["key0"]
-
-
-def test_list_reloaded_from_mnemonic_needs_count_before_loading(
-        capsys, monkeypatch):
-    """A wallet reloaded from --mnemonic has no accounts yet, so list
-    without --count exits 3 before any seed is stretched, and a session's
-    wallet stays as it was."""
-    session = Session()
-    assert run(capsys, ["derive", "--mnemonic", V12["mnemonic"],
-                        "--count", "1"], session)[0] == 0
-    kept = session.keystore
-
-    def no_seed(*args, **kwargs):
-        raise AssertionError("the wallet loaded before the refusal")
-    monkeypatch.setattr(ethcold.bip39, "mnemonic_to_seed", no_seed)
-    for on in (None, session):
-        code, out, err = run(capsys, ["list", "--mnemonic", V12["mnemonic"]],
-                             on)
-        assert code == 3
-        assert out == ""
-        assert "--count" in err
-    assert session.keystore is kept
-    assert [a.index for a in kept.accounts] == [0]
 
 
 def test_no_private_material_without_override(capsys):
@@ -151,63 +120,6 @@ def test_no_private_material_without_override(capsys):
     code, out, _ = run(capsys, ["list"], session)
     for account in V24["accounts"][:2]:
         assert account["key"] not in out
-
-
-def test_recover_wrong_word_count(capsys):
-    words = " ".join(V24["mnemonic"].split()[:23])
-    code, _, err = run(capsys, ["recover", "--mnemonic", words])
-    assert code == 3
-    assert "words" in err
-
-
-def test_recover_unknown_word(capsys):
-    words = V24["mnemonic"].split()
-    words[0] = "abandno"
-    code, _, err = run(capsys, ["recover", "--mnemonic", " ".join(words)])
-    assert code == 3
-    assert "abandno" in err
-
-
-def test_recover_bad_checksum(capsys):
-    words = ["abandon"] * 12
-    code, _, err = run(capsys, ["recover", "--mnemonic", " ".join(words)])
-    assert code == 3
-    assert "checksum" in err
-
-
-def test_init_bad_hex(capsys):
-    for entropy in ("zz" * 16, "00 " * 16, "00" * 8 + "\n" + "00" * 8):
-        code, out, err = run(capsys, ["init", "--entropy-hex", entropy])
-        assert code == 3
-        assert "hex" in err
-        assert out == ""
-
-
-def test_init_bad_entropy_length(capsys):
-    code, _, err = run(capsys, ["init", "--entropy-hex", "00" * 17])
-    assert code == 3
-
-
-def test_sign_bad_digest_length(capsys):
-    code, _, err = run(capsys, ["sign", "--mnemonic", V12["mnemonic"],
-                                "--index", "0", "--digest", "ab" * 31])
-    assert code == 3
-    assert "32" in err
-
-
-def test_sign_digest_with_inner_whitespace_exits_3(capsys):
-    for digest in ("ab " * 32, " 0x" + "11 " * 32, "ab" * 16 + "\n" + "ab" * 16):
-        code, out, err = run(capsys, ["sign", "--mnemonic", V12["mnemonic"],
-                                      "--index", "0", "--digest", digest])
-        assert code == 3
-        assert "hex" in err
-        assert out == ""
-
-
-def test_sign_negative_index(capsys):
-    code, _, err = run(capsys, ["sign", "--mnemonic", V12["mnemonic"],
-                                "--index", "-1", "--digest", "ab" * 32])
-    assert code == 3
 
 
 def test_sign_far_index_costs_what_index_0_costs(capsys):
@@ -230,29 +142,6 @@ def test_sign_far_index_costs_what_index_0_costs(capsys):
     assert costs == [2 * 520 + 522] * 2
 
 
-def test_sign_refuses_bad_input_before_loading_the_wallet(capsys, monkeypatch):
-    """A malformed --digest or an --index outside [0, 2^31) exits 3
-    before the seed is stretched."""
-    seeds = []
-    real_seed = ethcold.bip39.mnemonic_to_seed
-
-    def counted_seed(*args, **kwargs):
-        seeds.append(args)
-        return real_seed(*args, **kwargs)
-    monkeypatch.setattr(ethcold.bip39, "mnemonic_to_seed", counted_seed)
-    sign = ["sign", "--mnemonic", V12["mnemonic"]]
-    for argv in ([*sign, "--index", "0", "--digest", "zz"],
-                 [*sign, "--index", str(1 << 31), "--digest", "ab" * 32],
-                 [*sign, "--index", "-1", "--digest", "ab" * 32]):
-        code, out, err = run(capsys, argv)
-        assert code == 3, argv
-        assert out == ""
-        assert seeds == [], argv
-    code, _, _ = run(capsys, [*sign, "--index", "0", "--digest", "ab" * 32])
-    assert code == 0
-    assert len(seeds) == 1
-
-
 def test_derive_reads_no_public_key_and_list_reads_each_once(capsys):
     """derive --count 3 runs the two parent-path combs only; the list
     after it runs one comb per account and prints the vector records."""
@@ -269,47 +158,6 @@ def test_derive_reads_no_public_key_and_list_reads_each_once(capsys):
     assert json.loads(out) == [
         {"index": a["index"], "public_key": a["pub_compressed"],
          "address": a["address"]} for a in V24["accounts"]]
-
-
-def test_over_limit_requests_exit_3_before_deriving(capsys):
-    wallet = ["--mnemonic", V12["mnemonic"]]
-    sign = ["sign", *wallet, "--digest", "ab" * 32, "--index"]
-    for argv in (["derive", *wallet, "--count", str(MAX_COUNT + 1)],
-                 ["derive", *wallet, "--count", "9999999999"],
-                 ["list", *wallet, "--count", str(MAX_COUNT + 1)],
-                 ["list", *wallet, "--count", "0"],
-                 ["list", *wallet, "--count", "-5"],
-                 [*sign, str(1 << 31)], [*sign, "9999999999"]):
-        with count_mul_iterations() as counts:
-            code, out, err = run(capsys, argv)
-        assert code == 3, argv
-        assert out == ""
-        assert counts == [], argv
-
-
-def test_integer_flags_take_ascii_digits_only(capsys):
-    wallet = ["--mnemonic", V12["mnemonic"]]
-    commands = (["derive", *wallet, "--count"], ["list", *wallet, "--count"],
-                ["sign", *wallet, "--digest", "ab" * 32, "--index"],
-                ["trace", "--samples"], ["init", "--random", "--words"])
-    for command in commands:
-        for value in ("\u0663", " 1 ", "1_0", "+1", "\u0661\u0662"):
-            code, out, err = run(capsys, [*command, value])
-            assert code == 2, (command, value)
-            assert out == ""
-            assert "invalid ascii_int value" in err
-
-
-def test_commands_require_wallet(capsys):
-    code, _, err = run(capsys, ["derive", "--count", "1"])
-    assert code == 3
-    assert "mnemonic" in err
-
-
-def test_usage_errors_exit_2(capsys):
-    assert main(["bogus-command"]) == 2
-    assert main(["init"]) == 2  # no entropy source
-    assert main([]) == 2
 
 
 def test_usage_error_leaves_the_session_parser_intact(capsys):
@@ -333,17 +181,6 @@ def test_init_random_word_count(capsys):
         assert len(out.split(": ", 1)[1].split()) == count
 
 
-def test_init_refuses_words_with_entropy_hex(capsys):
-    """The entropy's length sets the mnemonic's, so --words next to
-    --entropy-hex is refused rather than silently ignored."""
-    for words in ("12", "24"):
-        code, out, err = run(capsys, ["init", "--entropy-hex", ZERO_ENT_HEX,
-                                      "--words", words])
-        assert code == 2
-        assert out == ""
-        assert "--words" in err
-
-
 def test_init_random_is_not_deterministic(capsys):
     _, out1, _ = run(capsys, ["init", "--random"])
     _, out2, _ = run(capsys, ["init", "--random"])
@@ -358,25 +195,6 @@ def test_trace_command_small_sample(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert list(report["variants"]) == ["hardened", "classic"]
-
-
-def test_trace_has_no_variant_option(capsys):
-    code, out, _ = run(capsys, ["trace", "--samples", "2",
-                                "--variant", "classic"])
-    assert code == 2
-    assert out == ""
-
-
-def test_trace_samples_validation(capsys, monkeypatch):
-    """Below 2 or above MAX_SAMPLES exits 3 before any report runs."""
-    reports = []
-    monkeypatch.setattr(cli, "uniformity_report",
-                        lambda *a, **kw: reports.append(a))
-    for samples in ("1", str(MAX_SAMPLES + 1), "9999999999"):
-        code, out, _ = run(capsys, ["trace", "--samples", samples])
-        assert code == 3, samples
-        assert out == ""
-    assert reports == []
 
 
 def test_reload_wipes_the_replaced_keystore(capsys):
@@ -433,25 +251,6 @@ def test_crypto_error_exits_4_with_one_error_line(capsys, monkeypatch):
     assert err == "error: derived key is zero; skip this index\n"
 
 
-def test_passphrase_without_mnemonic_exits_3_on_a_session(capsys):
-    """A session's wallet keeps its passphrase; another one is refused."""
-    session = Session()
-    assert run(capsys, ["recover", "--mnemonic", V12["mnemonic"]],
-               session)[0] == 0
-    passphrase = ["--passphrase", "hidden"]
-    argvs = (["derive", *passphrase, "--count", "1"],
-             ["list", *passphrase, "--count", "1"],
-             ["sign", *passphrase, "--index", "0", "--digest", "ab" * 32])
-    for argv in argvs:
-        with count_mul_iterations() as counts:
-            code, out, err = run(capsys, argv, session)
-        assert code == 3, argv
-        assert out == ""
-        assert "--passphrase" in err
-        assert counts == []
-    assert session.keystore.accounts == []
-
-
 def test_passphrase_changes_addresses(capsys):
     code, out1, _ = run(capsys, ["--json", "list", "--mnemonic",
                                  V12["mnemonic"], "--count", "1"])
@@ -497,6 +296,93 @@ def test_session_and_no_session_give_the_same_exit_code(capsys):
         alone, _, _ = run(capsys, argv)
         with_session, _, _ = run(capsys, argv, Session())
         assert alone == with_session, argv
+
+
+# setup is None or a command run first on the same Session
+REFUSALS = [
+    *[(None, ["recover", "--mnemonic", words], 3, text) for words, text in (
+        (V24["mnemonic"].rsplit(" ", 1)[0], "words"),
+        (V24["mnemonic"].replace("abandon", "abandno", 1), "abandno"),
+        ("abandon " * 11 + "abandon", "checksum"))],
+    *[(None, ["init", "--entropy-hex", entropy], 3, "hex")
+      for entropy in ("zz" * 16, "00 " * 16, "00" * 8 + "\n" + "00" * 8)],
+    (None, ["init", "--entropy-hex", "00" * 17], 3, "entropy"),
+    *[(None, ["init", "--entropy-hex", ZERO_ENT_HEX, "--words", words], 2,
+       "--words") for words in ("12", "24")],
+    (None, ["sign", *W12, "--index", "0", "--digest", "ab" * 31], 3, "32"),
+    *[(None, ["sign", *W12, "--index", "0", "--digest", digest], 3, "hex")
+      for digest in ("zz", "ab " * 32, " 0x" + "11 " * 32,
+                     "ab" * 16 + "\n" + "ab" * 16)],
+    *[(None, [*SIGN, index], 3, "2^31")
+      for index in ("-1", str(1 << 31), "9999999999")],
+    *[(None, [command, *W12, "--count", count], 3, "--count")
+      for command in ("derive", "list")
+      for count in ("0", "-5", str(MAX_COUNT + 1), "9999999999")],
+    *[(None, [*command, value], 2, "invalid ascii_int value")
+      for command in (["derive", *W12, "--count"], ["list", *W12, "--count"],
+                      SIGN, ["trace", "--samples"],
+                      ["init", "--random", "--words"])
+      for value in ("\u0663", " 1 ", "1_0", "+1", "\u0661\u0662")],
+    (None, ["derive", "--count", "1"], 3, "mnemonic"),
+    *[(None, argv, 2, "usage:") for argv in (["bogus-command"], ["init"], [])],
+    (None, ["trace", "--samples", "2", "--variant", "classic"], 2,
+     "--variant"),
+    *[(None, ["trace", "--samples", samples], 3, "--samples")
+      for samples in ("1", str(MAX_SAMPLES + 1), "9999999999")],
+    *[(None, ["list", *W12, "--export-private", *count], 2,
+       "i-understand-risks") for count in ([], ["--count", "1"])],
+    # a wallet reloaded from --mnemonic, or just recovered, has no accounts
+    (None, ["list", *W12], 3, "--count"),
+    (["derive", *W12, "--count", "1"], ["list", *W12], 3, "--count"),
+    (["recover", *W12], ["list"], 3, "--count"),
+    # a session's wallet keeps its passphrase; another one is refused
+    *[(["recover", *W12], [*argv, "--passphrase", "x"], 3, "--passphrase")
+      for argv in (["derive", "--count", "1"], ["list", "--count", "1"],
+                   ["sign", "--index", "0", "--digest", "ab" * 32])],
+]
+
+
+def _paid(capsys, argv, session):
+    """Run argv on session: exit code, stdout, stderr, and the seed
+    stretches and multiplies it paid for. A uniformity report fails."""
+    stretches, stretch = [], ethcold.bip39.mnemonic_to_seed
+
+    def counted_stretch(*args):
+        stretches.append(args)
+        return stretch(*args)
+    with pytest.MonkeyPatch.context() as patch, \
+            count_mul_iterations() as counts:
+        patch.setattr(ethcold.bip39, "mnemonic_to_seed", counted_stretch)
+        patch.setattr(cli, "uniformity_report",
+                      lambda *args: pytest.fail("a uniformity report ran"))
+        code, out, err = run(capsys, argv, session)
+    return code, out, err, (len(stretches), len(counts))
+
+
+@pytest.mark.parametrize("setup, argv, code, text", REFUSALS)
+def test_a_refusal_costs_nothing(capsys, setup, argv, code, text):
+    """A refusal exits 2 or 3 with its reason on stderr and no stdout; it
+    pays no stretch, report or multiply and leaves the wallet as it was."""
+    session = Session()
+    if setup is not None:
+        assert run(capsys, setup, session)[0] == 0
+    store = session.keystore
+    indices = store and [a.index for a in store.accounts]
+    got, out, err, paid = _paid(capsys, argv, session)
+    assert (got, out, paid) == (code, "", (0, 0))
+    assert text in err
+    assert session.keystore is store
+    assert indices == (store and [a.index for a in store.accounts])
+
+
+def test_the_refusal_probes_see_an_accepted_command(capsys):
+    """_paid sees a sign's one stretch and 2 * 520 + 522 multiplies (see
+    test_sign_far_index_costs_what_index_0_costs) and a trace's report."""
+    code, out, _, paid = _paid(capsys, [*SIGN, "0"], Session())
+    assert (code, paid) == (0, (1, 2 * 520 + 522))
+    assert out.startswith("r: ")
+    with pytest.raises(pytest.fail.Exception, match="report"):
+        _paid(capsys, ["trace", "--samples", "2"], Session())
 
 
 def _process_env():
@@ -594,3 +480,21 @@ def test_a_reader_that_leaves_ends_the_output_quietly(tmp_path):
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+
+def test_a_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    """_emit closes the devnull fd it points a closed pipe's fd at."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    opened, real_open = [], os.open
+
+    def recorded_open(*args):
+        opened.append(real_open(*args))
+        return opened[-1]
+    monkeypatch.setattr(os, "open", recorded_open)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        cli._emit(argparse.Namespace(json=False), None, ["a line"])
+    [devnull] = opened
+    with pytest.raises(OSError):
+        os.fstat(devnull)

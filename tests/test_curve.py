@@ -221,6 +221,16 @@ def test_comb_table_build_runs_no_modeled_multiply():
         assert native[1:] == curve[1:]
 
 
+def test_comb_refuses_a_field_wider_than_its_packed_entries():
+    """G = (0, 1) lies on y^2 = x^3 + 1 for every p, so only the width of
+    p can refuse this curve, before any multiply."""
+    wide = CurveParams(Modulus(2 ** 256 + 1), Modulus(7), 1, 0, 1)
+    with count_mul_iterations() as counts:
+        with pytest.raises(ValueError, match="2\\^256"):
+            scalar_mul_comb(1, wide)
+    assert counts == []
+
+
 def _table_point(entry):
     """A packed entry as an oracle point; the identity must be (0 : 1 : 0)."""
     x, y, z = _unpack(entry)

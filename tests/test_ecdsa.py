@@ -171,6 +171,8 @@ def test_verify_rejects_malformed_inputs():
     assert not verify(pub, Z1, (N, sig.s))                # r = n
     assert not verify(pub, Z1, (sig.s, sig.r))            # swapped
     assert not verify(pub, Z1, (sig.r + N, sig.s))        # r + n
+    assert not verify(pub, Z1, (str(sig.r), sig.s))       # str r
+    assert not verify(pub, Z1, (sig.r, float(sig.s)))     # float s
     assert not verify(pub, Z1, "garbage")                 # not a signature
     assert not verify(pub, Z1[:31], sig)                  # short digest
     assert not verify(pub, "x" * 32, sig)                 # str digest

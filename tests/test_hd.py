@@ -109,6 +109,11 @@ def test_path_parsing_and_formatting():
     assert format_path(path) == "m/44'/60'/0'/0/5"
     assert parse_path("m") == ()
     assert parse_path("m/0h") == (HARDENED,)
+    # BIP-32 writes its test-vector paths with H
+    for path, chain in (("m/0H/1/2H/2/1000000000", vectors.BIP32_CHAIN1),
+                        ("m/0/2147483647H/1/2147483646H/2",
+                         vectors.BIP32_CHAIN2)):
+        assert parse_path(path) == tuple(step["index"] for step in chain[1:])
     assert ETH_BASE_PATH == parse_path("m/44'/60'/0'/0")
 
 

@@ -19,7 +19,7 @@ from ethcold.hd import format_path, HARDENED, parse_path  # noqa: E402
 # must not: signs, underscores, spaces, non-ASCII digits, a surrogate.
 STRAY = "-+_ \u0663\u00b2\udcff"
 
-suffix = st.sampled_from(["", "'", "h"])
+suffix = st.sampled_from(["", "'", "h", "H"])
 path_element = st.one_of(
     st.builds(lambda i, s: "%d%s" % (i, s), st.integers(0, 2 ** 32), suffix),
     st.builds(lambda d, s: d + s,
