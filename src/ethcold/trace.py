@@ -22,7 +22,6 @@ trace, the feature that separates the classic ladder's traces. It
 passes when the hardened traces share one shape.
 """
 
-import os
 import random
 from typing import NamedTuple, Optional
 
@@ -148,7 +147,8 @@ class UniformityReport(NamedTuple):
 
 def uniformity_report(sample_count: int, curve=_curve.SECP256K1,
                       rng: Optional[random.Random] = None) -> UniformityReport:
-    """Draw random scalars and compare the trace shapes of both ladders.
+    """Draw random scalars from rng, the system's generator when None,
+    and compare the trace shapes of both ladders.
 
     Each scalar runs one balanced ladder through record_ladder_trace,
     whose trace is the hardened view and gives the classic one.
@@ -156,7 +156,7 @@ def uniformity_report(sample_count: int, curve=_curve.SECP256K1,
     if sample_count < 2:
         raise ValueError("need at least 2 samples to compare traces")
     if rng is None:
-        rng = random.Random(int.from_bytes(os.urandom(16), "big"))
+        rng = random.SystemRandom()
     n = curve.n.value
     hardened = [record_ladder_trace(rng.randrange(1, n), "hardened", curve)
                 for _ in range(sample_count)]

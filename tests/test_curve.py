@@ -182,17 +182,6 @@ def test_comb_agrees_with_ladder_on_small_curve_for_every_scalar():
                 scalar_mul_comb(k, curve)
 
 
-def test_comb_multiply_count_is_fixed():
-    """37 complete additions of 14 multiplies, then 2 in to_affine."""
-    seen = set()
-    for k in (1, 0xf0f0, N - 1, (1 << 256) - 1):
-        with count_mul_iterations() as counts:
-            scalar_mul_comb(k)
-        assert set(counts) == {256}
-        seen.add(len(counts))
-    assert seen == {37 * 14 + 2}
-
-
 def _unpack(entry):
     """A packed table entry z << 512 | x << 256 | y as (x, y, z)."""
     mask = (1 << 256) - 1

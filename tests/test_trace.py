@@ -49,16 +49,17 @@ def test_bia_events_close_every_trace():
         assert all(e.op_kind == "field-mul" for e in bia)
 
 
+def _small_curve_shapes(variant):
+    return {record_ladder_trace(k, variant, SMALL).shape
+            for k in range(1, SC["order"])}
+
+
 def test_hardened_shapes_equal_on_small_curve_all_scalars():
-    shapes = {record_ladder_trace(k, "hardened", SMALL).shape
-              for k in range(1, SC["order"])}
-    assert len(shapes) == 1
+    assert len(_small_curve_shapes("hardened")) == 1
 
 
 def test_classic_shapes_differ_on_small_curve():
-    shapes = {record_ladder_trace(k, "classic", SMALL).shape
-              for k in range(1, SC["order"])}
-    assert len(shapes) > 1
+    assert len(_small_curve_shapes("classic")) > 1
 
 
 def test_trace_rejects_invalid_scalars():
@@ -137,6 +138,14 @@ def test_uniformity_report_requires_two_samples():
         uniformity_report(1)
 
 
+def test_uniformity_report_draws_from_the_system_generator(monkeypatch):
+    draws = []
+    monkeypatch.setattr(random.SystemRandom, "randrange",
+                        lambda self, *bounds: draws.append(bounds) or 5)
+    assert uniformity_report(2, curve=SMALL).passed is True
+    assert draws == [(1, SC["order"])] * 2
+
+
 def test_export_lines_format():
     trace = record_ladder_trace(9, "hardened", SMALL)
     lines = list(trace.export_lines())
@@ -200,10 +209,7 @@ def test_hardened_registers_give_the_key_bits_below_the_top():
 @pytest.mark.parametrize("samples", [2, 5])
 def test_report_on_both_ladders_runs_one_ladder_per_scalar(samples):
     """Every ladder trace comes from one balanced run: a report on both
-    ladders costs one balanced ladder per scalar."""
-    with count_mul_iterations() as one:
-        scalar_mul_ladder(1, SMALL)
-    assert len(one) == 268
+    ladders costs one balanced ladder, 268 multiplies, per scalar."""
     with count_mul_iterations() as counts:
         uniformity_report(samples, curve=SMALL, rng=random.Random(samples))
     assert len(counts) == samples * 268
@@ -299,9 +305,7 @@ def test_comb_shapes_identical_over_random_scalars():
 
 
 def test_comb_shapes_equal_on_small_curve_all_scalars():
-    shapes = {record_ladder_trace(k, "comb", SMALL).shape
-              for k in range(1, SC["order"])}
-    assert len(shapes) == 1
+    assert len(_small_curve_shapes("comb")) == 1
 
 
 def test_comb_trace_rejects_invalid_scalars():
