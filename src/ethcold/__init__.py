@@ -23,8 +23,7 @@ _EXPORTS = {
     "curve": ("AffinePoint", "CurveParams", "point_add_complete",
               "ProjectivePoint", "scalar_mul_comb", "scalar_mul_ladder",
               "SECP256K1", "to_affine"),
-    "ecdsa": ("RandomNonce", "Rfc6979Nonce", "rfc6979_nonce", "Signature",
-              "sign", "verify"),
+    "ecdsa": ("Rfc6979Nonce", "rfc6979_nonce", "Signature", "sign", "verify"),
     "errors": ("CryptoError", "DerivationError", "InvalidKeyError",
                "InvalidScalarError", "MnemonicError", "ValidationError",
                "WalletError"),

@@ -28,12 +28,12 @@ EXIT_VALIDATION = 3
 EXIT_CRYPTO = 4
 
 # The most accounts one derive or list command may ask for. Only list
-# --count runs a comb per account (about 7 s for all 1000); derive reads
+# --count runs a comb per account (12-13 s for all 1000); derive reads
 # no public key. A larger --count exits 3 before any derivation.
 MAX_COUNT = 1000
 
 # The most scalars one trace command may ask for: one balanced ladder per
-# scalar records both ladders' traces, about 15 s for all 100 (both times
+# scalar records both ladders' traces, 23-24 s for all 100 (both times
 # on a shared 2-vCPU x86-64 box, Python 3.11). A larger --samples exits 3
 # before any scalar is drawn.
 MAX_SAMPLES = 100
@@ -116,7 +116,7 @@ def _build_parser():
     p.add_argument("--digest", required=True,
                    help="32-byte hash to sign, as hex")
     p.add_argument("--deterministic", action="store_true",
-                   help="RFC 6979 nonce instead of OS randomness")
+                   help="plain RFC 6979 nonce, with no fresh random bytes")
 
     p = sub.add_parser("trace", help="ladder operation-trace uniformity report")
     p.add_argument("--samples", type=ascii_int, required=True,

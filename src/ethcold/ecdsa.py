@@ -3,9 +3,9 @@
 The signing datapath is the wallet's own: the nonce point comes from the
 fixed-base comb, the inverse of k from the binary inversion algorithm,
 and products mod n from the shift-and-add multiplier. The nonce is drawn
-from an injectable source: OS randomness by default, or RFC 6979 for
-reproducible signatures. Candidates outside [1, n-1] and candidates
-producing r = 0 or s = 0 are discarded and the source is asked again.
+from an injectable source, by default RFC 6979 hedged with OS random
+bytes. Candidates outside [1, n-1] and candidates producing r = 0 or
+s = 0 are discarded and the source is asked again.
 
 Verification handles public values only. It runs the package's complete
 addition and to_affine on SECP256K1.native, the copy of secp256k1 with a
@@ -48,23 +48,20 @@ class Signature(_SignatureFields):
         return super().__new__(cls, r, s, y_parity)
 
 
-class RandomNonce:
-    """Uniform nonces in [1, n-1] from OS-grade randomness."""
-
-    def nonces(self, d: int, z: bytes):
-        while True:
-            k = int.from_bytes(os.urandom(32), "big")
-            if 1 <= k < _N:
-                yield k
-
-
 class Rfc6979Nonce:
-    """Deterministic nonces per RFC 6979 (HMAC-SHA256 DRBG)."""
+    """Nonces per RFC 6979 (HMAC-SHA256 DRBG). extra is section 3.6's
+    additional data k', appended to int2octets(d) || bits2octets(h1) in
+    both seeding HMACs (steps d and f): b"" is plain RFC 6979, and fresh
+    bytes hedge it, so a stuck RNG repeats no k across digests."""
+
+    def __init__(self, extra: bytes = b""):
+        self.extra = extra
 
     def nonces(self, d: int, z: bytes):
         v = b"\x01" * 32
         key = b"\x00" * 32
-        seed = to_bytes32(d) + to_bytes32(int.from_bytes(z, "big") % _N)
+        seed = (to_bytes32(d) + to_bytes32(int.from_bytes(z, "big") % _N)
+                + self.extra)
         key = hmac_sha256(key, v + b"\x00" + seed)
         v = hmac_sha256(key, v)
         key = hmac_sha256(key, v + b"\x01" + seed)
@@ -94,15 +91,17 @@ def _check_key_and_digest(d: int, z: bytes):
 def sign(d: int, z: bytes, nonce_source=None) -> Signature:
     """Sign a 32-byte digest.
 
-    Draws k from the nonce source until a candidate in [1, n-1] yields
-    r != 0 and s != 0. The result is low-s, as Ethereum requires: s > n/2
-    is replaced by n - s, flipping the recovery parity, by a mask (all
-    ones when s > n/2) rather than a branch.
+    Draws k from the nonce source, Rfc6979Nonce(os.urandom(32)) when
+    None, until a candidate in [1, n-1] yields r != 0 and s != 0. The
+    result is low-s, as Ethereum requires: s > n/2 is replaced by n - s,
+    flipping the recovery parity, by a mask (all ones when s > n/2)
+    rather than a branch.
     """
     _check_key_and_digest(d, z)
-    source = nonce_source if nonce_source is not None else RandomNonce()
+    if nonce_source is None:
+        nonce_source = Rfc6979Nonce(os.urandom(32))
     e = int.from_bytes(z, "big") % _N
-    for k in source.nonces(d, z):
+    for k in nonce_source.nonces(d, z):
         if not 1 <= k < _N:
             continue
         pt = scalar_mul_comb(k, SECP256K1)

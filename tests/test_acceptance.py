@@ -210,25 +210,34 @@ def test_criterion_3_small_curve_exhaustive_oracle():
 def test_criterion_4_ladder_uniformity():
     started = time.monotonic()
     rng = random.Random(0xEC)
-    # an adversarial pair, 2^254 + 1 and 2^255 - 1, then 100 random keys
-    scalars = [(1 << 254) + 1, (1 << 255) - 1]
-    scalars += [rng.randrange(1, N) for _ in range(100)]
-    traces, baselines = [], []
+    # an adversarial pair, 2^254 + 1 and 2^255 - 1, then 100 random keys,
+    # all on the native twin, which records the modeled curve's events
+    pair = [(1 << 254) + 1, (1 << 255) - 1]
+    scalars = pair + [rng.randrange(1, N) for _ in range(100)]
+    traces = []
     for k in scalars:
-        # one run gives the point, its trace and the classic baseline view,
-        # at one fixed cost: 255 rows of 3 additions of 14 multiplies, the
-        # initial doubling and to_affine's 2, with no second ladder run
+        rec = TraceRecorder()
+        point = scalar_mul_ladder(k, SECP256K1.native, recorder=rec)
+        assert (point.x, point.y) == oracle.bench.ec_mul(k)
+        assert is_on_curve(point)
+        traces.append(rec)
+
+    shapes = {t.shape for t in traces}
+    assert len(shapes) == 1, "hardened shapes differ between keys"
+
+    # the pair also runs modeled: one run gives the point, its trace and
+    # the classic baseline view, at one fixed cost: 255 rows of 3
+    # additions of 14 multiplies, the initial doubling and to_affine's 2
+    baselines = []
+    for k, native in zip(pair, traces):
         rec = TraceRecorder()
         with count_mul_iterations() as counts:
             point = scalar_mul_ladder(k, recorder=rec)
         assert counts == [256] * 10726
         assert (point.x, point.y) == oracle.bench.ec_mul(k)
         assert is_on_curve(point)
-        traces.append(rec)
+        assert rec.events == native.events
         baselines.append(rec.classic())
-
-    shapes = {t.shape for t in traces}
-    assert len(shapes) == 1, "hardened shapes differ between keys"
 
     # the classic baseline leaks for the adversarial pair
     assert baselines[0].shape != baselines[1].shape

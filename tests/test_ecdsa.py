@@ -1,13 +1,14 @@
 """ECDSA signing tests: forced nonces, RFC 6979 vectors, verify verdicts."""
 
+import os
 import random
 from hashlib import sha256
 
 import pytest
 
+from ethcold import ecdsa
 from ethcold.curve import AffinePoint
-from ethcold.ecdsa import (RandomNonce, Rfc6979Nonce, rfc6979_nonce, sign,
-                           Signature, verify)
+from ethcold.ecdsa import Rfc6979Nonce, rfc6979_nonce, sign, Signature, verify
 from ethcold.errors import CryptoError, InvalidKeyError, ValidationError
 from ethcold.field import count_mul_iterations, FIELD_P, SECP256K1_N as N
 from ethcold.hd import public_point
@@ -141,10 +142,82 @@ def test_pipelined_signing_is_order_independent():
     assert a_then_b[1] == b_then_a[0]
 
 
-def test_random_nonce_source_signs_validly():
+def test_default_source_signs_validly():
+    """The default hedges RFC 6979 with fresh bytes: two signatures of one
+    digest both verify, with two r values, neither the deterministic r."""
     d = 31337
-    sig = sign(d, Z1, nonce_source=RandomNonce())
-    assert verify(public_point(d), Z1, sig)
+    first, second = sign(d, Z1), sign(d, Z1)
+    assert verify(public_point(d), Z1, first)
+    assert verify(public_point(d), Z1, second)
+    plain = sign(d, Z1, nonce_source=Rfc6979Nonce())
+    assert len({first.r, second.r, plain.r}) == 3
+
+
+def test_additional_data_follows_rfc6979_section_3_6(monkeypatch):
+    """Section 3.6 appends k' to both seeding HMACs: step d is
+    K = HMAC_K(V || 0x00 || int2octets(d) || bits2octets(h1) || k') with
+    K = 0x00 * 32 and V = 0x01 * 32, step e is V = HMAC_K(V), step f is
+    step d with 0x01. h1 above n shows bits2octets reducing it mod n; the
+    default source passes 32 bytes of os.urandom as k'."""
+    real, calls = ecdsa.hmac_sha256, []
+
+    def recording(key, msg):
+        calls.append((key, msg, real(key, msg)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(ecdsa, "hmac_sha256", recording)
+    monkeypatch.setattr(ecdsa.os, "urandom", lambda n: b"\xa5" * n)
+    d, h1 = 0x1234, b"\xff" * 32
+    tail = d.to_bytes(32, "big") + ((1 << 256) - 1 - N).to_bytes(32, "big")
+    for source, extra in ((Rfc6979Nonce(), b""), (Rfc6979Nonce(b"k'"), b"k'"),
+                          (None, b"\xa5" * 32)):
+        calls.clear()
+        sign(d, h1, nonce_source=source)
+        (key0, msg0, key_d), (key1, msg1, v_e), (key2, msg2, _) = calls[:3]
+        assert key0 == bytes(32)
+        assert msg0 == b"\x01" * 32 + b"\x00" + tail + extra
+        assert (key1, msg1) == (key_d, b"\x01" * 32)
+        assert (key2, msg2) == (key_d, v_e + b"\x01" + tail + extra)
+
+
+class _UrandomNonce:
+    """k straight from os.urandom, with no RFC 6979 around it."""
+
+    def nonces(self, d, z):
+        while True:
+            yield int.from_bytes(os.urandom(32), "big")
+
+
+def _keys_from_shared_r(r, pairs):
+    """Every d that two (e, s) with one r can come from: low-s makes each
+    s = +-k^-1 (e + r d) mod n, so all four sign cases are tried."""
+    (e1, s1), (e2, s2) = pairs
+    keys = set()
+    for a in (s1, N - s1):
+        for b in (s2, N - s2):
+            if a != b:
+                k = (e1 - e2) * pow(a - b, -1, N) % N
+                keys.add((a * k - e1) * pow(r, -1, N) % N)
+    return keys
+
+
+def test_a_stuck_rng_repeats_no_nonce(monkeypatch):
+    """With os.urandom stuck, the default falls back to RFC 6979's
+    determinism: two digests give two r, and both signatures verify. The
+    negative control, k from os.urandom alone, repeats k and gives d."""
+    monkeypatch.setattr(ecdsa.os, "urandom", lambda n: b"\x5a" * n)
+    d = 0xC01D
+    digests = (Z1, Z2)
+    hedged = [sign(d, z) for z in digests]
+    assert hedged[0].r != hedged[1].r
+    assert all(verify(public_point(d), z, sig)
+               for z, sig in zip(digests, hedged))
+    assert sign(d, Z1) == hedged[0]
+    bare = [sign(d, z, nonce_source=_UrandomNonce()) for z in digests]
+    assert bare[0].r == bare[1].r
+    pairs = [(int.from_bytes(z, "big") % N, sig.s)
+             for z, sig in zip(digests, bare)]
+    assert d in _keys_from_shared_r(bare[0].r, pairs)
 
 
 def test_signature_component_validation():

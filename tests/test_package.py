@@ -12,7 +12,7 @@ EXPORTS = {
     "bip39": "entropy_to_mnemonic mnemonic_to_entropy mnemonic_to_seed",
     "curve": "AffinePoint CurveParams point_add_complete ProjectivePoint "
              "scalar_mul_comb scalar_mul_ladder SECP256K1 to_affine",
-    "ecdsa": "RandomNonce Rfc6979Nonce rfc6979_nonce Signature sign verify",
+    "ecdsa": "Rfc6979Nonce rfc6979_nonce Signature sign verify",
     "errors": "CryptoError DerivationError InvalidKeyError InvalidScalarError "
               "MnemonicError ValidationError WalletError",
     "field": "FIELD_P Modulus ORDER_N SECP256K1_N SECP256K1_P",
@@ -29,7 +29,7 @@ EXPORTS = {
 def test_namespace_contract():
     names = {name: module for module, names in EXPORTS.items()
              for name in names.split()}
-    assert len(names) == 51
+    assert len(names) == 50
     for name, module in names.items():
         owner = importlib.import_module("ethcold." + module)
         assert getattr(ethcold, name) is getattr(owner, name), name
@@ -38,7 +38,7 @@ def test_namespace_contract():
     exec("from ethcold import *", bound)
     del bound["__builtins__"]
     assert set(bound) == set(names) | set(EXPORTS)
-    assert len(bound) == 63
+    assert len(bound) == 62
     assert set(bound) <= set(dir(ethcold))
     with pytest.raises(AttributeError):
         getattr(ethcold, "no_such_name")

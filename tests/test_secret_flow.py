@@ -80,6 +80,8 @@ SECRET_PATHS = {
         256, 520, 39),
     "sign": ({ecdsa.__file__}, lambda pair, recorder: ecdsa.sign(
         *pair, ecdsa.Rfc6979Nonce()), _pairs(0x5167, 12), 256, 522, 0),
+    "sign-default": ({ecdsa.__file__}, lambda pair, recorder: ecdsa.sign(
+        *pair), _pairs(0x5167, 12), 256, 522, 0),
     "ckd-hardened": ({HD}, lambda p, recorder: hd.ckd_priv(
         hd.ExtendedKey(*p), hd.HARDENED + 7),
         _pairs(0xC4D + hd.HARDENED + 7, 8), 256, 0, 0),
