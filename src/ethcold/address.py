@@ -7,7 +7,6 @@ uppercasing is the fixed ASCII offset (lowercase letter - 0x20).
 """
 
 from .curve import AffinePoint
-from .errors import InvalidKeyError
 from .keccak import keccak256
 from .u256 import to_bytes32
 
@@ -16,8 +15,6 @@ _HEX_LETTERS = frozenset("abcdef")
 
 def pubkey_to_address(pt: AffinePoint) -> bytes:
     """20-byte address from an uncompressed public key point."""
-    if pt.infinity:
-        raise InvalidKeyError("the point at infinity has no address")
     return keccak256(to_bytes32(pt.x) + to_bytes32(pt.y))[-20:]
 
 

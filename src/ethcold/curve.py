@@ -24,8 +24,10 @@ as record(iteration, op, register, value): the op row, the index of the
 physical register written, which the key steers, and the value. The
 trace module names the registers and weighs the values.
 
-The identity is (0 : 1 : 0). One binary inversion at the very end maps
-(X : Y : Z) to affine (X/Z, Y/Z).
+The identity is (0 : 1 : 0); it has no affine form. One binary
+inversion at the very end maps (X : Y : Z) to affine (X/Z, Y/Z), and an
+accepted scalar never gives Z = 0. The secret scalar stays an integer
+throughout: key bits are read by shift and mask, never as text.
 """
 
 import functools
@@ -44,7 +46,6 @@ class ProjectivePoint(NamedTuple):
 class AffinePoint(NamedTuple):
     x: int
     y: int
-    infinity: bool = False
 
 
 IDENTITY = ProjectivePoint(0, 1, 0)
@@ -93,7 +94,8 @@ class CurveParams(_CurveFields):
 
     @property
     def scalar_bits(self) -> int:
-        """Fixed ladder width: every accepted scalar is padded to this."""
+        """Fixed ladder width: the ladder reads this many bits of every
+        accepted scalar, leading zeros included."""
         return self.n.value.bit_length()
 
 
@@ -167,17 +169,15 @@ def point_add_complete(P: ProjectivePoint, Q: ProjectivePoint,
 
 def to_affine(P: ProjectivePoint,
               curve: CurveParams = SECP256K1) -> AffinePoint:
-    """Leave projective coordinates with one binary inversion of Z."""
-    if P.z == 0:
-        return AffinePoint(0, 0, True)
+    """Leave projective coordinates with one binary inversion of Z and two
+    multiplies. The identity (Z = 0) has no affine form: Modulus.inv
+    raises ZeroDivisionError."""
     mod = curve.p
     zi = mod.inv(P.z)
     return AffinePoint(mod.mul(P.x, zi), mod.mul(P.y, zi))
 
 
 def is_on_curve(pt: AffinePoint, curve: CurveParams = SECP256K1) -> bool:
-    if pt.infinity:
-        return True
     p = curve.p.value
     # coordinates must be canonical: x + p names the same residue as x
     if not (0 <= pt.x < p and 0 <= pt.y < p):
@@ -190,14 +190,9 @@ def _reduce_scalar(k: int, curve: CurveParams) -> int:
     kk = k % curve.n.value
     if kk == 0:
         raise InvalidScalarError(
-            "scalar is 0 mod the group order; multiplication would produce "
-            "the point at infinity")
+            "scalar is 0 mod the group order; its multiple is the identity, "
+            "which has no affine form")
     return kk
-
-
-def _normalize_scalar(k: int, curve: CurveParams) -> str:
-    """Reduce mod n, reject zero, left-pad to the fixed ladder width."""
-    return format(_reduce_scalar(k, curve), "0%db" % curve.scalar_bits)
 
 
 def _finish(r0: ProjectivePoint, curve: CurveParams, recorder,
@@ -228,8 +223,9 @@ def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
                       recorder=None) -> AffinePoint:
     """k*G by the balanced Montgomery ladder with a temporary register.
 
-    The scalar is processed at fixed length: the top bit is absorbed by
-    the initialisation, which always computes 2G and selects (R0, R1) =
+    The reduced scalar is processed at fixed length, scalar_bits bits,
+    each read as (kk >> i) & 1: the top bit is absorbed by the
+    initialisation, which always computes 2G and selects (R0, R1) =
     (G, 2G) or (O, G) by a mask on each coordinate (complete formulas
     make the identity a safe ladder operand), and the loop always runs
     one row for each of the scalar_bits-1 bits below it: the LADDER_OPS
@@ -240,18 +236,19 @@ def scalar_mul_ladder(k: int, curve: CurveParams = SECP256K1,
     second pass -> Rt) no key bit changes, and the physical register
     written, which the key bit steers through internal multiplexers.
     """
-    bits = _normalize_scalar(k, curve)
+    kk = _reduce_scalar(k, curve)
+    rows = curve.scalar_bits - 1
     g = curve.generator
     g2 = point_add_complete(g, g, curve)
-    top = -int(bits[0])
+    top = -(kk >> rows)
     regs = [ProjectivePoint(*(b ^ ((a ^ b) & top) for a, b in zip(on, off)))
             for on, off in ((g, IDENTITY), (g2, g))] + [IDENTITY]
-    for i, bit in enumerate(bits[1:]):
-        for op, (a, b, dst) in zip(LADDER_OPS, LADDER_ROUTES[int(bit)]):
+    for row, i in enumerate(reversed(range(rows))):
+        for op, (a, b, dst) in zip(LADDER_OPS, LADDER_ROUTES[(kk >> i) & 1]):
             regs[dst] = point_add_complete(regs[a], regs[b], curve)
             if recorder is not None:
-                recorder.record(i, op, dst, regs[dst])
-    return _finish(regs[R0], curve, recorder, curve.scalar_bits - 1)
+                recorder.record(row, op, dst, regs[dst])
+    return _finish(regs[R0], curve, recorder, rows)
 
 
 # bench/layers.py wraps this name and nothing calls it; it goes when the

@@ -126,8 +126,9 @@ def verify(pub: AffinePoint, z: bytes, sig) -> bool:
     """Standard ECDSA verification; malformed inputs return False.
 
     u1*G + u2*Q by Shamir's trick: per bit, one doubling and one addition
-    of (identity, G, Q, G + Q)[bits] through point_add_complete on _NATIVE,
-    then one to_affine. No product runs on the modeled multiplier.
+    of (identity, G, Q, G + Q)[bits] through point_add_complete on _NATIVE.
+    A sum with Z = 0, the identity, is rejected; any other goes through
+    one to_affine. No product runs on the modeled multiplier.
     """
     # (r, s) or (r, s, parity), a Signature included; parity is not needed
     if not isinstance(sig, (tuple, list)) or len(sig) not in (2, 3):
@@ -139,7 +140,7 @@ def verify(pub: AffinePoint, z: bytes, sig) -> bool:
         return False
     if not isinstance(z, (bytes, bytearray)) or len(z) != 32:
         return False
-    if not isinstance(pub, AffinePoint) or pub.infinity:
+    if not isinstance(pub, AffinePoint):
         return False
     if not isinstance(pub.x, int) or not isinstance(pub.y, int):
         return False
@@ -157,5 +158,5 @@ def verify(pub: AffinePoint, z: bytes, sig) -> bool:
         acc = point_add_complete(acc, acc, _NATIVE)
         acc = point_add_complete(
             acc, table[(u1 >> i & 1) | (u2 >> i & 1) << 1], _NATIVE)
-    point = to_affine(acc, _NATIVE)
-    return not point.infinity and point.x % _N == r
+    # the sum is public; the identity (Z = 0) has no affine x
+    return acc.z != 0 and to_affine(acc, _NATIVE).x % _N == r

@@ -22,7 +22,7 @@ class InvalidScalarError(CryptoError):
 
 
 class InvalidKeyError(CryptoError):
-    """Private key outside [1, n-1], or a public-key operation on infinity."""
+    """Private key outside [1, n-1]."""
 
 
 class DerivationError(CryptoError):

@@ -78,8 +78,6 @@ def public_point(key: int) -> AffinePoint:
 
 def serialize_pubkey(pt: AffinePoint) -> bytes:
     """33-byte compressed form: 02/03 parity prefix plus big-endian x."""
-    if pt.infinity:
-        raise InvalidKeyError("cannot serialize the point at infinity")
     return bytes((2 | pt.y & 1,)) + to_bytes32(pt.x)
 
 

@@ -5,8 +5,6 @@ import random
 import pytest
 
 from ethcold.address import pubkey_to_address, to_checksum_address
-from ethcold.curve import AffinePoint
-from ethcold.errors import InvalidKeyError
 from ethcold.hd import public_point
 
 
@@ -15,11 +13,6 @@ def test_known_private_key_addresses():
     assert addr1.hex() == "7e5f4552091a69125d5dfcb7b8c2659029395bdf"
     addr2 = pubkey_to_address(public_point(2))
     assert addr2.hex() == "2b5ad5c4795c026514f8317c7a215e218dccd6cf"
-
-
-def test_infinity_has_no_address():
-    with pytest.raises(InvalidKeyError):
-        pubkey_to_address(AffinePoint(0, 0, True))
 
 
 def test_distinct_points_distinct_addresses():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ethcold import curve as curve_module
 from ethcold.curve import (_comb_table, _select, _signed_digits,
                            AffinePoint, CurveParams, IDENTITY,
                            is_on_curve, LADDER_ROUTES, point_add_complete,
@@ -27,8 +28,8 @@ def affine(pt):
 
 
 def as_tuple(pt):
-    assert not pt.infinity
-    return (pt.x, pt.y)
+    assert pt.z != 0
+    return tuple(affine(pt))
 
 
 def test_curve_params():
@@ -39,17 +40,15 @@ def test_curve_params():
 
 
 def test_add_identity_is_neutral():
-    got = affine(point_add_complete(G, IDENTITY))
+    got = point_add_complete(G, IDENTITY)
     assert as_tuple(got) == (SECP256K1.gx, SECP256K1.gy)
-    got = affine(point_add_complete(IDENTITY, G))
+    got = point_add_complete(IDENTITY, G)
     assert as_tuple(got) == (SECP256K1.gx, SECP256K1.gy)
 
 
 def test_add_inverse_gives_identity():
     neg_g = ProjectivePoint(SECP256K1.gx, P - SECP256K1.gy, 1)
-    result = point_add_complete(G, neg_g)
-    assert result.z == 0
-    assert affine(result).infinity
+    assert point_add_complete(G, neg_g).z == 0
 
 
 def test_g_plus_g_known_value():
@@ -65,24 +64,34 @@ def test_double_is_self_addition():
         k = rng.randrange(1, N)
         pt = oracle.bench.ec_mul(k)
         proj = ProjectivePoint(pt[0], pt[1], 1)
-        assert as_tuple(affine(point_add_complete(proj, proj))) == \
+        assert as_tuple(point_add_complete(proj, proj)) == \
             oracle.bench.ec_add(pt, pt)
 
 
 def test_double_identity():
-    assert affine(point_add_complete(IDENTITY, IDENTITY)).infinity
+    assert point_add_complete(IDENTITY, IDENTITY).z == 0
 
 
 def test_projective_scaling_invariance():
     # (2x, 2y, 2) dehomogenizes to the same affine point as (x, y, 1)
     mod = SECP256K1.p
     scaled = ProjectivePoint(mod.mul(2, SECP256K1.gx), mod.mul(2, SECP256K1.gy), 2)
-    assert as_tuple(affine(scaled)) == (SECP256K1.gx, SECP256K1.gy)
+    assert as_tuple(scaled) == (SECP256K1.gx, SECP256K1.gy)
 
 
 def test_to_affine_identity_and_unit_z():
-    assert to_affine(IDENTITY, SECP256K1).infinity
-    assert as_tuple(to_affine(G, SECP256K1)) == (SECP256K1.gx, SECP256K1.gy)
+    """Z = 1 passes through; the identity (Z = 0) has no affine form and
+    to_affine raises instead of returning a flagged point."""
+    assert IDENTITY.z == 0
+    with pytest.raises(ZeroDivisionError):
+        to_affine(IDENTITY, SECP256K1)
+    with pytest.raises(ZeroDivisionError):
+        to_affine(IDENTITY, SECP256K1.native)
+    assert tuple(to_affine(G, SECP256K1)) == (SECP256K1.gx, SECP256K1.gy)
+
+
+def test_affine_point_has_only_coordinates():
+    assert AffinePoint._fields == ("x", "y")
 
 
 # --- fixed-base comb ---
@@ -97,7 +106,7 @@ def test_comb_matches_ladder_and_oracle_on_edge_table():
         expected = vectors.SCALAR_MULT[name]
         assert "%064x" % got.x == expected["x"], name
         assert "%064x" % got.y == expected["y"], name
-        assert as_tuple(got) == oracle.bench.ec_mul(k), name
+        assert tuple(got) == oracle.bench.ec_mul(k), name
         assert got == scalar_mul_ladder(k), name
 
 
@@ -111,7 +120,7 @@ def test_comb_matches_oracle_on_random_scalars():
     rng = random.Random(4096)
     for _ in range(50):
         k = rng.randrange(1, N)
-        assert as_tuple(scalar_mul_comb(k)) == oracle.bench.ec_mul(k)
+        assert tuple(scalar_mul_comb(k)) == oracle.bench.ec_mul(k)
 
 
 def _small_curve():
@@ -164,8 +173,22 @@ def test_ladder_state_invariant_r1_minus_r0_is_base_point():
             for a, b, dst in LADDER_ROUTES[int(bit)]:
                 regs[dst] = oracle.ec_add(regs[a], regs[b], p)
             assert oracle.ec_add(regs[R1], neg_g, p) == regs[R0]
-        got = scalar_mul_ladder(k, small)
-        assert regs[R0] == (None if got.infinity else (got.x, got.y))
+        assert regs[R0] == tuple(scalar_mul_ladder(k, small))
+
+
+def test_ladder_reads_key_bits_without_text(monkeypatch):
+    """Every mod-103 scalar, with format() unavailable in the curve
+    module: the ladder reads each key bit by shift and mask, so it still
+    matches the oracle."""
+    def no_format(*args):
+        raise AssertionError("the ladder formats a secret as text")
+
+    monkeypatch.setattr(curve_module, "format", no_format, raising=False)
+    small = _small_curve()
+    sc = vectors.SMALL_CURVE
+    for k in range(1, sc["order"]):
+        assert tuple(scalar_mul_ladder(k, small)) == \
+            oracle.ec_repeat_add(k, (sc["gx"], sc["gy"]), sc["p"]), k
 
 
 def test_comb_agrees_with_ladder_on_small_curve_for_every_scalar():

@@ -49,12 +49,6 @@ def test_serialize_pubkey_parity():
         assert prefix == (0x03 if pt.y & 1 else 0x02)
 
 
-def test_serialize_infinity_rejected():
-    from ethcold.curve import AffinePoint
-    with pytest.raises(InvalidKeyError):
-        serialize_pubkey(AffinePoint(0, 0, True))
-
-
 def test_x_recovers_point_on_curve():
     pt = public_point(12345)
     p = 0xfffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f

@@ -54,10 +54,6 @@ def _small_curve_shapes(variant):
             for k in range(1, SC["order"])}
 
 
-def test_hardened_shapes_equal_on_small_curve_all_scalars():
-    assert len(_small_curve_shapes("hardened")) == 1
-
-
 def test_classic_shapes_differ_on_small_curve():
     assert len(_small_curve_shapes("classic")) > 1
 
@@ -302,10 +298,6 @@ def test_comb_shapes_identical_over_random_scalars():
     traces = [record_ladder_trace(rng.randrange(1, SECP256K1.n.value), "comb")
               for _ in range(100)]
     assert len({t.shape for t in traces}) == 1
-
-
-def test_comb_shapes_equal_on_small_curve_all_scalars():
-    assert len(_small_curve_shapes("comb")) == 1
 
 
 def test_comb_trace_rejects_invalid_scalars():
